@@ -172,53 +172,26 @@ func BenchmarkAblation_RollbackDistance(b *testing.B) {
 	}
 }
 
-// Convolution kernels — naive reference loop vs the im2col/GEMM path the
-// layer refactor introduced, on the paper's exact first AlexNet layer
-// (96 × 11×11×3 over 227×227×3, stride 4).
-
-func convBenchWorkload(b *testing.B) (*nn.Conv2D, *tensor.Tensor) {
-	b.Helper()
-	rng := rand.New(rand.NewSource(20))
-	c, err := nn.NewConv2D("conv1", 3, nn.AlexNetConv1Filters, 11, 4, 0, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := tensor.MustNew(3, nn.AlexNetInputSize, nn.AlexNetInputSize)
-	x.FillUniform(rng, 0, 1)
-	return c, x
-}
-
-func BenchmarkConvForward_Naive(b *testing.B) {
-	c, x := convBenchWorkload(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.ForwardNaive(x); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkConvForward_Im2col(b *testing.B) {
-	c, x := convBenchWorkload(b)
-	ctx := nn.NewContext()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Forward(ctx, x); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// Batch-native forward — ForwardBatch (one GEMM per layer per micro-batch)
-// against the per-sample fan-out (N separate Forward calls through one
-// context), swept over batch size. The batch effect is weight-traffic
-// amortisation: a batched GEMM streams the layer's weights once for all N
+// Batch-native forward — ForwardBatch (one GEMM per layer per batch) over a
+// stacked batch against a loop of N=1 batches (mode=persample: N separate
+// ForwardBatch calls through one context), swept over batch size. The
+// batch effect is weight-traffic amortisation: a batched GEMM streams the layer's weights once for all N
 // samples, so layers whose weights dwarf the cache (the deep convolutions,
 // and above all the fully connected layers) speed up with batch size, while
 // conv1 — tiny weights, huge activations — is roughly neutral. Recorded in
 // BENCH_compute.json.
+
+// singles returns each tensor of xs as an N=1 batch view.
+func singles(b *testing.B, xs []*tensor.Tensor) []*tensor.Tensor {
+	out := make([]*tensor.Tensor, len(xs))
+	for i, x := range xs {
+		var err error
+		if out[i], err = x.Reshape(append([]int{1}, x.Shape()...)...); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return out
+}
 
 func benchForwardBatchLayer(b *testing.B, layer nn.Layer, c, size int) {
 	rng := rand.New(rand.NewSource(30))
@@ -233,6 +206,7 @@ func benchForwardBatchLayer(b *testing.B, layer nn.Layer, c, size int) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		ones := singles(b, xs)
 		b.Run(fmt.Sprintf("n=%d/mode=batched", batch), func(b *testing.B) {
 			ctx := nn.NewContext()
 			b.ReportAllocs()
@@ -249,8 +223,8 @@ func benchForwardBatchLayer(b *testing.B, layer nn.Layer, c, size int) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for _, x := range xs {
-					if _, err := layer.Forward(ctx, x); err != nil {
+				for _, x := range ones {
+					if _, err := layer.ForwardBatch(ctx, x); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -314,6 +288,7 @@ func BenchmarkForwardBatch_AlexNetFC6(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		ones := singles(b, xs)
 		b.Run(fmt.Sprintf("n=%d/mode=batched", batch), func(b *testing.B) {
 			ctx := nn.NewContext()
 			b.ResetTimer()
@@ -328,8 +303,8 @@ func BenchmarkForwardBatch_AlexNetFC6(b *testing.B) {
 			ctx := nn.NewContext()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for _, x := range xs {
-					if _, err := fc.Forward(ctx, x); err != nil {
+				for _, x := range ones {
+					if _, err := fc.ForwardBatch(ctx, x); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -354,9 +329,9 @@ func BenchmarkForwardBatch_MicroNet(b *testing.B) {
 }
 
 // Batch-native backward — one training step (forward + backward, since the
-// backward pass consumes the forward's cached activations) through
-// BackwardBatch against the per-sample Forward/Backward fan-out, swept over
-// batch size. The batched path computes dW and dX with one GemmTB/GemmTA
+// backward pass consumes the forward's cached activations) over a stacked
+// batch against a loop of N=1 batches (mode=persample), swept over batch
+// size. The batched path computes dW and dX with one GemmTB/GemmTA
 // per layer over the whole batch, so the weight matrices stream once per
 // batch in each direction instead of once per sample; the effect mirrors
 // the forward benches but roughly doubled, because backward touches the
@@ -383,6 +358,7 @@ func benchBackwardBatchLayer(b *testing.B, layer nn.Layer, inShape, outShape []i
 		if err != nil {
 			b.Fatal(err)
 		}
+		ones, oneGs := singles(b, xs), singles(b, gs)
 		b.Run(fmt.Sprintf("n=%d/mode=batched", batch), func(b *testing.B) {
 			ctx := nn.NewContext()
 			ctx.SetTraining(true)
@@ -404,11 +380,11 @@ func benchBackwardBatchLayer(b *testing.B, layer nn.Layer, inShape, outShape []i
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for j, x := range xs {
-					if _, err := layer.Forward(ctx, x); err != nil {
+				for j, x := range ones {
+					if _, err := layer.ForwardBatch(ctx, x); err != nil {
 						b.Fatal(err)
 					}
-					if _, err := layer.Backward(ctx, gs[j]); err != nil {
+					if _, err := layer.BackwardBatch(ctx, oneGs[j]); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -443,8 +419,8 @@ func BenchmarkBackwardBatch_AlexNetFC6(b *testing.B) {
 // End-to-end training throughput — Trainer.Fit over one epoch of synthetic
 // GTSRB on an fc-heavy micro-AlexNet (small convs, 4096-wide hidden layer:
 // the 9 MB fc1 weight matrix dominates, the regime where AlexNet spends
-// its parameters), batched shards (SubBatch 0, the default) against the
-// legacy per-sample path (SubBatch 1). Mini-batch 16, so the batched path
+// its parameters), whole-shard batches (SubBatch 0, the default) against
+// N=1 batches (SubBatch 1). Mini-batch 16, so the batched path
 // runs whole 16-sample GEMM sweeps per layer per direction. Same seeds,
 // same update rule; only the execution strategy differs.
 func BenchmarkTrainerFit(b *testing.B) {

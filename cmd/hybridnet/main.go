@@ -68,7 +68,7 @@ func cmdTrain(args []string) error {
 	filters := fs.Int("filters", 16, "first-layer filter count")
 	perClass := fs.Int("perclass", 20, "training examples per class")
 	epochs := fs.Int("epochs", 10, "training epochs")
-	subBatch := fs.Int("subbatch", 0, "samples per batched backward pass (0 = whole worker shard, 1 = per-sample)")
+	subBatch := fs.Int("subbatch", 0, "samples per training batch (0 = whole worker shard, 1 = N=1 batches)")
 	workers := fs.Int("workers", 1, "data-parallel trainer workers per mini-batch")
 	seed := fs.Int64("seed", 1, "random seed")
 	if err := fs.Parse(args); err != nil {

@@ -34,6 +34,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"image/png"
 	"math/rand"
 	"net"
 	"net/http"
@@ -71,7 +72,7 @@ func run(args []string) error {
 	modelPath := fs.String("model", "", "onnxlite model path")
 	demo := fs.Bool("demo", false, "serve an untrained demo network instead of -model")
 	workers := fs.Int("workers", 0, "inference pool size (0 = all cores)")
-	subBatch := fs.Int("subbatch", 0, "images per worker sub-batch in the batched CNN stage (0 = batch/workers)")
+	subBatch := fs.Int("subbatch", 0, "images per worker sub-batch in the batched CNN stage (0 = batch/workers, 1 = N=1 batches)")
 	maxBatch := fs.Int("max-batch", 8, "micro-batch flush threshold")
 	maxDelay := fs.Duration("max-delay", 2*time.Millisecond, "max wait for a batch to fill")
 	queueSize := fs.Int("queue", 64, "admission-control queue bound per service class")
@@ -402,12 +403,20 @@ func (s *server) handleClassify(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// admission covers everything before the scheduler saw the request:
-	// body read, decode/render, deadline setup.
-	spans := []obs.Span{{Name: "admission", Dur: time.Since(start)}}
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 	defer cancel()
+	submitted := time.Now()
 	res, timing, err := s.sched.SubmitTraced(ctx, img, class)
+	// Every span and the latency derive from the same timestamps, so the
+	// top-level spans tile [start, end] exactly. admission covers
+	// everything before the scheduler saw the request: body read,
+	// decode/render, deadline setup.
+	end := time.Now()
+	admitted := timing.Enqueued
+	if admitted.IsZero() {
+		admitted = submitted // rejected before enqueueing
+	}
+	spans := []obs.Span{{Name: "admission", Dur: admitted.Sub(start)}}
 	if err != nil {
 		status := http.StatusInternalServerError
 		switch {
@@ -428,19 +437,17 @@ func (s *server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		}
 		// Failed requests have no scheduler breakdown; the wait span covers
 		// the whole time inside Submit (queued until rejection/expiry).
-		spans = append(spans, obs.Span{Name: "wait", Dur: time.Since(start) - spans[0].Dur})
+		spans = append(spans, obs.Span{Name: "wait", Dur: end.Sub(admitted)})
 		w.Header().Set(obs.SpansHeader, obs.FormatSpans(spans))
 		writeJSON(w, status, errorResponse{err.Error()})
 		s.finishTrace(obs.TraceRecord{
-			ID: trace, Start: start, Status: status, Total: time.Since(start), Spans: spans,
+			ID: trace, Start: start, Status: status, Total: end.Sub(start), Spans: spans,
 		}, 0, err.Error())
 		return
 	}
 	spans = schedSpans(timing, spans)
 	// deliver is the handoff tail: backend done → response committed here.
-	// (The only wall time the spans don't cover is the sub-microsecond gap
-	// between the admission measurement and the scheduler's enqueue stamp.)
-	spans = append(spans, obs.Span{Name: "deliver", Dur: time.Since(timing.Done)})
+	spans = append(spans, obs.Span{Name: "deliver", Dur: end.Sub(timing.Done)})
 	w.Header().Set(obs.SpansHeader, obs.FormatSpans(spans))
 	resp := classifyResponse{
 		Class:          res.Class,
@@ -451,14 +458,14 @@ func (s *server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		Degraded:       timing.Degraded,
 		ReliableOps:    res.Stats.Ops,
 		ReliableRetry:  res.Stats.Retries,
-		LatencyMS:      float64(time.Since(start).Microseconds()) / 1000,
+		LatencyMS:      float64(end.Sub(start).Microseconds()) / 1000,
 	}
 	if classes := gtsrb.StandardClasses(); res.Class >= 0 && res.Class < len(classes) {
 		resp.ClassName = classes[res.Class].Name
 	}
 	writeJSON(w, http.StatusOK, resp)
 	s.finishTrace(obs.TraceRecord{
-		ID: trace, Start: start, Status: http.StatusOK, Total: time.Since(start), Spans: spans,
+		ID: trace, Start: start, Status: http.StatusOK, Total: end.Sub(start), Spans: spans,
 		Attrs: map[string]string{"decision": res.Decision.String()},
 	}, timing.BatchSize, "")
 }
@@ -473,16 +480,22 @@ func (s *server) decodeImage(req classifyRequest) (*tensor.Tensor, error) {
 		if err != nil {
 			return nil, fmt.Errorf("image_png is not valid base64: %v", err)
 		}
-		img, err := gtsrb.ReadPNG(bytes.NewReader(raw))
+		// Reject wrong-sized images at admission, from the header alone:
+		// decoding first would let a few bytes claiming a huge canvas
+		// allocate it, and a bad image inside a micro-batch would fail
+		// every request riding the same batch with a 500 instead of
+		// failing its own sender with a 400.
+		hdr, err := png.DecodeConfig(bytes.NewReader(raw))
 		if err != nil {
 			return nil, fmt.Errorf("image_png: %v", err)
 		}
-		// Reject wrong-sized images at admission: a bad image inside a
-		// micro-batch would otherwise fail every request riding the same
-		// batch with a 500 instead of failing its own sender with a 400.
-		if img.Rank() != 3 || img.Dim(1) != s.size || img.Dim(2) != s.size {
+		if hdr.Width != s.size || hdr.Height != s.size {
 			return nil, fmt.Errorf("image_png must decode to %dx%d, got %dx%d (serve with matching -size)",
-				s.size, s.size, img.Dim(1), img.Dim(2))
+				s.size, s.size, hdr.Width, hdr.Height)
+		}
+		img, err := gtsrb.ReadPNG(bytes.NewReader(raw))
+		if err != nil {
+			return nil, fmt.Errorf("image_png: %v", err)
 		}
 		return img, nil
 	case req.Sign != "":

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -164,6 +167,58 @@ func TestClassifyBadRequests(t *testing.T) {
 	}
 }
 
+// hugePNGHeader hand-builds the header of a w×h RGB PNG: signature, IHDR,
+// an IDAT holding only the zlib stream header (no pixel data) and IEND — a
+// few dozen bytes claiming a huge canvas that a decoder allocates before it
+// finds the data missing.
+func hugePNGHeader(w, h uint32) []byte {
+	var b bytes.Buffer
+	b.WriteString("\x89PNG\r\n\x1a\n")
+	chunk := func(typ string, data []byte) {
+		var n [4]byte
+		binary.BigEndian.PutUint32(n[:], uint32(len(data)))
+		b.Write(n[:])
+		crc := crc32.NewIEEE()
+		crc.Write([]byte(typ))
+		crc.Write(data)
+		b.WriteString(typ)
+		b.Write(data)
+		binary.BigEndian.PutUint32(n[:], crc.Sum32())
+		b.Write(n[:])
+	}
+	ihdr := make([]byte, 13)
+	binary.BigEndian.PutUint32(ihdr[0:], w)
+	binary.BigEndian.PutUint32(ihdr[4:], h)
+	ihdr[8], ihdr[9] = 8, 2 // 8-bit RGB; compression, filter, interlace 0
+	chunk("IHDR", ihdr)
+	chunk("IDAT", []byte{0x78, 0x9c})
+	chunk("IEND", nil)
+	return b.Bytes()
+}
+
+// TestClassifyRejectsHugePNGBeforeDecoding: an image's size is checked
+// from its PNG header before any pixel buffer exists, so a tiny body
+// claiming an 8000×8000 canvas is a cheap 400 naming the size instead of a
+// ~256 MB allocation.
+func TestClassifyRejectsHugePNGBeforeDecoding(t *testing.T) {
+	srv, _ := newTestServer(t)
+	body := fmt.Sprintf(`{"image_png":%q}`, base64.StdEncoding.EncodeToString(hugePNGHeader(8000, 8000)))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	resp, _, fail := postClassify(t, srv.URL, body)
+	runtime.ReadMemStats(&after)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", resp.StatusCode)
+	}
+	if !strings.Contains(fail.Error, "8000x8000") {
+		t.Errorf("error %q does not name the claimed size", fail.Error)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 16<<20 {
+		t.Errorf("rejecting the header allocated %d MiB", grew>>20)
+	}
+}
+
 func TestHealthzAndStats(t *testing.T) {
 	srv, _ := newTestServer(t)
 	// Put one request through so stats are non-trivial.
@@ -204,9 +259,9 @@ func TestHealthzAndStats(t *testing.T) {
 // gatedBackend holds every batch until the gate yields.
 type gatedBackend struct{ gate chan struct{} }
 
-func (b gatedBackend) ClassifyBatch(imgs []*tensor.Tensor) ([]core.Result, error) {
+func (b gatedBackend) ClassifyBatch(imgs []*tensor.Tensor, _ []core.Pipeline) ([]core.Result, core.StageTimes, error) {
 	<-b.gate
-	return make([]core.Result, len(imgs)), nil
+	return make([]core.Result, len(imgs)), core.StageTimes{}, nil
 }
 
 // TestClassifyStatusMapping pins the error-to-status contract: a client that

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -148,7 +149,7 @@ func TestBatchClassifierReuse(t *testing.T) {
 	for r := 0; r < rounds; r++ {
 		go func() {
 			defer wg.Done()
-			got, err := c.ClassifyBatch(imgs)
+			got, _, err := c.ClassifyBatch(imgs, nil)
 			if err != nil {
 				errs <- err
 				return
@@ -175,10 +176,11 @@ func TestBatchClassifierReuse(t *testing.T) {
 }
 
 // TestClassifyBatchSubBatchEquivalence: the batched CNN stage — one NCHW
-// micro-batch per worker sub-batch — must reproduce per-call Classify
-// bit-for-bit in classes, probabilities, decisions, qualifier verdicts and
-// per-inference reliable counters, for every sub-batch size (1 degenerates
-// to per-sample; sizes ragged against the batch exercise the tail chunks).
+// batch per worker sub-batch — must reproduce per-call Classify (an N=1
+// batch) bit-for-bit in classes, probabilities, decisions, qualifier
+// verdicts and per-inference reliable counters, for every sub-batch size
+// (1 runs N=1 batches; sizes ragged against the batch exercise the tail
+// chunks).
 // Run with -race this is the golden-equivalence gate of the serving path.
 func TestClassifyBatchSubBatchEquivalence(t *testing.T) {
 	net := trainedMicroNet(t)
@@ -229,7 +231,7 @@ func TestClassifyBatchSubBatchEquivalence(t *testing.T) {
 		for _, ccfg := range []ClassifierConfig{
 			{Workers: 1},              // whole batch in one sub-batch
 			{Workers: 3},              // default ceil(11/3)=4 → ragged tail of 3
-			{Workers: 2, SubBatch: 1}, // per-sample degenerate
+			{Workers: 2, SubBatch: 1}, // N=1 sub-batches
 			{Workers: 2, SubBatch: 4}, // explicit cap, ragged
 		} {
 			c, err := h.NewBatchClassifierConfig(ccfg)
@@ -239,7 +241,7 @@ func TestClassifyBatchSubBatchEquivalence(t *testing.T) {
 			if ccfg.SubBatch != 0 && c.SubBatch() != ccfg.SubBatch {
 				t.Fatalf("sub-batch = %d, want %d", c.SubBatch(), ccfg.SubBatch)
 			}
-			got, err := c.ClassifyBatch(imgs)
+			got, _, err := c.ClassifyBatch(imgs, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -282,5 +284,91 @@ func TestClassifyBatchEmpty(t *testing.T) {
 	}
 	if len(res) != 0 {
 		t.Errorf("empty batch returned %d results", len(res))
+	}
+}
+
+// TestClassifyBatchMixedShapes: a sub-batch whose images disagree in shape
+// runs its CNN stage (and the fast images' prefix) as one batch per shape,
+// so every result — full and fast riders alike — equals classifying its
+// shape group alone, bit for bit, and full riders equal Classify.
+func TestClassifyBatchMixedShapes(t *testing.T) {
+	// conv+flatten accepts any input size, so two image sizes can share a
+	// sub-batch all the way through the CNN.
+	rng := rand.New(rand.NewSource(95))
+	conv1, err := nn.NewConv2D("conv1", 3, 4, 3, 1, 1, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := nn.NewSequential("convnet", conv1, nn.NewReLU("relu1"), nn.NewFlatten("flatten"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair, err := InstallSobelPair(conv1, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := NewHybridNetwork(Config{
+		Wiring: WiringBifurcated, Mode: ModeTemporalDMR, Pair: pair,
+		SafetyClasses: defaultSafety(),
+	}, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var imgs []*tensor.Tensor
+	for i, size := range []int{32, 24, 32, 24, 24, 32} {
+		gcfg, err := gtsrb.Config{Size: size}.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := gtsrb.StandardClasses()[i%len(gtsrb.StandardClasses())]
+		img, err := gtsrb.Render(gtsrb.RandomParams(gcfg, spec, rng), rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		imgs = append(imgs, img)
+	}
+	pipes := []Pipeline{PipelineFull, PipelineFull, PipelineCNN, PipelineCNN, PipelineFull, PipelineFull}
+	c, err := h.NewBatchClassifier(1) // one sub-batch holding both shapes
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := c.ClassifyBatch(imgs, pipes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]Result, len(imgs))
+	for _, group := range tensor.GroupByShape(imgs) {
+		gImgs := make([]*tensor.Tensor, len(group))
+		gPipes := make([]Pipeline, len(group))
+		for j, i := range group {
+			gImgs[j], gPipes[j] = imgs[i], pipes[i]
+		}
+		res, _, err := c.ClassifyBatch(gImgs, gPipes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, i := range group {
+			want[i] = res[j]
+		}
+	}
+	for i := range imgs {
+		alone := want[i]
+		if pipes[i] == PipelineFull {
+			if alone, err = h.Classify(imgs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, ref := range []Result{want[i], alone} {
+			if got[i].Class != ref.Class || got[i].Decision != ref.Decision ||
+				got[i].Stats != ref.Stats || len(got[i].Probs) != len(ref.Probs) {
+				t.Fatalf("img %d: (%d,%v,%+v) != reference (%d,%v,%+v)", i,
+					got[i].Class, got[i].Decision, got[i].Stats, ref.Class, ref.Decision, ref.Stats)
+			}
+			for k, p := range got[i].Probs {
+				if math.Float32bits(p) != math.Float32bits(ref.Probs[k]) {
+					t.Fatalf("img %d prob[%d]: %v mixed, %v alone", i, k, p, ref.Probs[k])
+				}
+			}
+		}
 	}
 }

@@ -54,18 +54,19 @@ func TestExecutePrefixMatchesPlainForward(t *testing.T) {
 			if err != nil {
 				t.Fatalf("lrn=%v depth %d: %v", useLRN, depth, err)
 			}
-			// Plain reference: forward the first depth layers.
-			nctx := nn.NewContext()
-			want := x
-			for i := 0; i < depth; i++ {
-				layer, err := net.Layer(i)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err = layer.Forward(nctx, want)
-				if err != nil {
-					t.Fatal(err)
-				}
+			// Plain reference: forward the first depth layers, x as an
+			// N=1 batch.
+			x1, err := x.Reshape(1, 3, 16, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want1, err := net.ForwardBatchRange(nn.NewContext(), 0, depth, x1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := want1.Sample(0)
+			if err != nil {
+				t.Fatal(err)
 			}
 			if !want.AllClose(got, 2e-5) {
 				d, _ := want.MaxAbsDiff(got)

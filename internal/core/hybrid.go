@@ -281,45 +281,30 @@ func (h *HybridNetwork) Classify(img *tensor.Tensor) (Result, error) {
 
 func (h *HybridNetwork) classify(ctx *nn.Context, engine *reliable.Engine, img *tensor.Tensor) (Result, error) {
 	results := make([]Result, 1)
-	if err := h.classifyChunk(ctx, engine, []*tensor.Tensor{img}, results, nil); err != nil {
+	if err := h.classifyChunk(ctx, engine, []*tensor.Tensor{img}, nil, results, &StageTimes{}); err != nil {
 		return Result{}, err
 	}
 	return results[0], nil
 }
 
 // classifyChunk classifies a sub-batch of images through one worker's
-// context and reliable engine, writing one Result per image. The pipeline
-// splits into two stages:
+// context and reliable engine, writing one Result per image and adding the
+// chunk's per-stage wall time into st (one goroutine owns a chunk end to
+// end, so plain additions suffice). The pipeline splits into two stages:
 //
-//  1. Per sample: the reliable stage (edge convolution or the DCNN prefix,
-//     whose overloaded MAC protocol is inherently per-image) and the shape
-//     qualifier, with the leaky bucket reset before every image and the
-//     work counters reported as per-image deltas — the per-execution
-//     semantics of Classify.
-//  2. Batched: the non-reliable CNN portion of every image that survived
-//     stage 1 runs as ONE NCHW micro-batch through ForwardBatchFrom — one
-//     blocked GEMM per layer for the whole sub-batch instead of one per
-//     image.
+//  1. Per image, full-pipeline images only: the reliable stage (edge
+//     convolution or the DCNN prefix, whose overloaded MAC protocol is
+//     inherently per-image) and the shape qualifier, with the leaky bucket
+//     reset before every image and the work counters reported as per-image
+//     deltas — the per-execution semantics of Classify.
+//  2. Batched: pipes[i] == PipelineCNN images skip stage 1 and run the
+//     non-reliable prefix (the layers the reliable stage would have
+//     computed) batched; then every surviving image — full and fast alike
+//     — coalesces into the SAME batched CNN continuation, one NCHW batch
+//     per input shape, so a uniform chunk costs one GEMM per layer.
 //
-// A single-image chunk skips the pack and runs the per-sample CNN path;
-// both paths compute identical logits.
-//
-// When st is non-nil the chunk's per-stage wall time is accumulated into
-// it (reliable stage, qualifier, batched CNN) — one goroutine owns a chunk
-// end to end, so plain additions suffice.
-func (h *HybridNetwork) classifyChunk(ctx *nn.Context, engine *reliable.Engine, imgs []*tensor.Tensor, results []Result, st *StageTimes) error {
-	return h.classifyChunkPipelined(ctx, engine, imgs, nil, results, st)
-}
-
-// classifyChunkPipelined is classifyChunk with a per-image pipeline
-// selection: pipes[i] == PipelineCNN skips stage 1 (no reliable execution,
-// no qualifier) for image i and routes it straight into the batched CNN.
-// Fast images run the non-reliable prefix (the layers the reliable stage
-// would have computed) as one micro-batch, then every surviving image —
-// full and fast alike — coalesces into the SAME batched CNN continuation,
-// so a mixed chunk still costs one GEMM per layer. nil pipes means
-// PipelineFull for every image.
-func (h *HybridNetwork) classifyChunkPipelined(ctx *nn.Context, engine *reliable.Engine, imgs []*tensor.Tensor, pipes []Pipeline, results []Result, st *StageTimes) error {
+// nil pipes means PipelineFull for every image.
+func (h *HybridNetwork) classifyChunk(ctx *nn.Context, engine *reliable.Engine, imgs []*tensor.Tensor, pipes []Pipeline, results []Result, st *StageTimes) error {
 	if h.cfg.Wiring != WiringParallel && h.cfg.Wiring != WiringBifurcated {
 		return fmt.Errorf("core: unknown wiring %d", int(h.cfg.Wiring))
 	}
@@ -328,9 +313,6 @@ func (h *HybridNetwork) classifyChunkPipelined(ctx *nn.Context, engine *reliable
 	}
 	if pipes != nil && len(pipes) != len(imgs) {
 		return fmt.Errorf("core: classify chunk has %d pipelines for %d images", len(pipes), len(imgs))
-	}
-	if st == nil {
-		st = &StageTimes{} // timing always measured into somewhere; discarded when unwanted
 	}
 	// Stage 1: reliable execution + qualifier, per sample — full-pipeline
 	// images only.
@@ -361,7 +343,7 @@ func (h *HybridNetwork) classifyChunkPipelined(ctx *nn.Context, engine *reliable
 			idxs = append(idxs, i)
 		}
 	}
-	// Stage 2: the CNN portion, micro-batched. Fast images first run the
+	// Stage 2: the CNN portion, batched. Fast images first run the
 	// non-reliable prefix so they enter the continuation at the same layer
 	// as the reliably computed feature maps; the prefix is CNN work and is
 	// booked as such.
@@ -378,44 +360,26 @@ func (h *HybridNetwork) classifyChunkPipelined(ctx *nn.Context, engine *reliable
 // image and appends them (with their result indices) to cnnIns/idxs.
 // Parallel wiring: the (possibly downsampled) image itself — the CNN
 // consumes the raw input. Bifurcated wiring: the image is run through the
-// non-reliable batched prefix [0, DCNNDepth) so it arrives at the same
-// layer as the reliable stage's output; same-shaped fast images share one
-// batched prefix pass.
+// non-reliable prefix [0, DCNNDepth) so it arrives at the same layer as the
+// reliable stage's output, one batched prefix pass per input shape.
 func (h *HybridNetwork) fastEntries(ctx *nn.Context, imgs []*tensor.Tensor, fastIdxs []int, cnnIns *[]*tensor.Tensor, idxs *[]int) error {
-	if len(fastIdxs) == 0 {
-		return nil
+	fast := make([]*tensor.Tensor, len(fastIdxs))
+	for j, i := range fastIdxs {
+		fast[j] = imgs[i]
+		if h.cfg.Wiring == WiringParallel && h.cfg.DownsampleFactor > 1 {
+			var err error
+			if fast[j], err = BoxDownsample(imgs[i], h.cfg.DownsampleFactor); err != nil {
+				return err
+			}
+		}
 	}
 	if h.cfg.Wiring == WiringParallel {
-		for _, i := range fastIdxs {
-			in := imgs[i]
-			if h.cfg.DownsampleFactor > 1 {
-				var err error
-				in, err = BoxDownsample(in, h.cfg.DownsampleFactor)
-				if err != nil {
-					return err
-				}
-			}
-			*cnnIns = append(*cnnIns, in)
-			*idxs = append(*idxs, i)
-		}
+		*cnnIns = append(*cnnIns, fast...)
+		*idxs = append(*idxs, fastIdxs...)
 		return nil
 	}
-	// Bifurcated: batch the prefix across same-shaped fast images; ragged
-	// shapes each run a batch of one.
-	rest := fastIdxs
-	for len(rest) > 0 {
-		group := []*tensor.Tensor{imgs[rest[0]]}
-		groupIdxs := []int{rest[0]}
-		pending := make([]int, 0, len(rest))
-		for _, i := range rest[1:] {
-			if imgs[i].SameShape(imgs[rest[0]]) {
-				group = append(group, imgs[i])
-				groupIdxs = append(groupIdxs, i)
-			} else {
-				pending = append(pending, i)
-			}
-		}
-		batch, err := tensor.Stack(group)
+	for _, group := range tensor.GroupByShape(fast) {
+		batch, err := tensor.StackAt(fast, group)
 		if err != nil {
 			return err
 		}
@@ -423,15 +387,14 @@ func (h *HybridNetwork) fastEntries(ctx *nn.Context, imgs []*tensor.Tensor, fast
 		if err != nil {
 			return fmt.Errorf("core: fast prefix: %w", err)
 		}
-		for j, i := range groupIdxs {
+		for j, k := range group {
 			fm, err := out.Sample(j)
 			if err != nil {
 				return err
 			}
 			*cnnIns = append(*cnnIns, fm)
-			*idxs = append(*idxs, i)
+			*idxs = append(*idxs, fastIdxs[k])
 		}
-		rest = pending
 	}
 	return nil
 }
@@ -550,27 +513,16 @@ func (h *HybridNetwork) reliableStage(engine *reliable.Engine, img *tensor.Tenso
 
 // cnnStage runs the non-reliable CNN portion over the surviving images of a
 // chunk — idxs[j] is the position of cnnIns[j] in results — filling
-// class/confidence/probs and the Reliable Result decision. Multi-image
-// chunks with one common shape pack into a single NCHW micro-batch (one
-// GEMM per layer); single images and ragged shapes take the per-sample
-// path, which computes identical logits.
+// class/confidence/probs and the Reliable Result decision. The inputs pack
+// into one NCHW batch per shape (a lone image is an N=1 view), one GEMM per
+// layer per batch.
 func (h *HybridNetwork) cnnStage(ctx *nn.Context, cnnIns []*tensor.Tensor, idxs []int, results []Result) error {
-	if len(cnnIns) == 0 {
-		return nil
-	}
 	from := 0
 	if h.cfg.Wiring == WiringBifurcated {
 		from = h.cfg.DCNNDepth
 	}
-	sameShape := true
-	for _, in := range cnnIns[1:] {
-		if !in.SameShape(cnnIns[0]) {
-			sameShape = false
-			break
-		}
-	}
-	if len(cnnIns) > 1 && sameShape {
-		batch, err := tensor.Stack(cnnIns)
+	for _, group := range tensor.GroupByShape(cnnIns) {
+		batch, err := tensor.StackAt(cnnIns, group)
 		if err != nil {
 			return err
 		}
@@ -578,24 +530,14 @@ func (h *HybridNetwork) cnnStage(ctx *nn.Context, cnnIns []*tensor.Tensor, idxs 
 		if err != nil {
 			return fmt.Errorf("core: CNN path: %w", err)
 		}
-		for j, i := range idxs {
+		for j, k := range group {
 			logits, err := blogits.Sample(j)
 			if err != nil {
 				return err
 			}
-			if err := h.finishResult(logits, &results[i]); err != nil {
+			if err := h.finishResult(logits, &results[idxs[k]]); err != nil {
 				return err
 			}
-		}
-		return nil
-	}
-	for j, i := range idxs {
-		logits, err := h.net.ForwardFrom(ctx, from, cnnIns[j])
-		if err != nil {
-			return fmt.Errorf("core: CNN path: %w", err)
-		}
-		if err := h.finishResult(logits, &results[i]); err != nil {
-			return err
 		}
 	}
 	return nil
@@ -627,7 +569,8 @@ func (h *HybridNetwork) ClassifyBatch(imgs []*tensor.Tensor, workers int) ([]Res
 	if err != nil {
 		return nil, err
 	}
-	return c.ClassifyBatch(imgs)
+	results, _, err := c.ClassifyBatch(imgs, nil)
+	return results, err
 }
 
 // decide implements the Reliable Result block.

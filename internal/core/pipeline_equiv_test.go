@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -71,7 +72,7 @@ func TestClassifyBatchPipelinedEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The pre-class path: nil pipes, every image full pipeline.
-		wantFull, _, err := c.ClassifyBatchTimed(imgs)
+		wantFull, _, err := c.ClassifyBatch(imgs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +81,7 @@ func TestClassifyBatchPipelinedEquivalence(t *testing.T) {
 		for i := range allCNN {
 			allCNN[i] = PipelineCNN
 		}
-		wantFast, fastStages, err := c.ClassifyBatchPipelined(imgs, allCNN)
+		wantFast, fastStages, err := c.ClassifyBatch(imgs, allCNN)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,8 +95,8 @@ func TestClassifyBatchPipelinedEquivalence(t *testing.T) {
 
 		// Independent fast reference: a whole-net forward of the (possibly
 		// downsampled) image — the bifurcated prefix+continuation and the
-		// parallel raw-input entry both reduce to exactly this. Probabilities
-		// compare within the batched-vs-per-sample kernel tolerance.
+		// parallel raw-input entry both reduce to exactly this, the image
+		// alone as an N=1 batch. Probabilities compare bit for bit.
 		ctx := nn.NewContext()
 		for i, img := range imgs {
 			in := img
@@ -104,7 +105,15 @@ func TestClassifyBatchPipelinedEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			logits, err := h.Net().Forward(ctx, in)
+			in1, err := in.Reshape(append([]int{1}, in.Shape()...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blogits, err := h.Net().ForwardBatch(ctx, in1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			logits, err := blogits.Sample(0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,11 +126,7 @@ func TestClassifyBatchPipelinedEquivalence(t *testing.T) {
 				t.Errorf("wiring=%v img %d: fast class %d != whole-net forward %d", wiring, i, fr.Class, class)
 			}
 			for k := range probs {
-				d := float64(probs[k] - fr.Probs[k])
-				if d < 0 {
-					d = -d
-				}
-				if d > 1e-5 {
+				if math.Float32bits(probs[k]) != math.Float32bits(fr.Probs[k]) {
 					t.Errorf("wiring=%v img %d: fast prob[%d]=%g vs forward %g", wiring, i, k, fr.Probs[k], probs[k])
 				}
 			}
@@ -159,7 +164,7 @@ func TestClassifyBatchPipelinedEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := cw.ClassifyBatchPipelined(imgs, pipes)
+			got, _, err := cw.ClassifyBatch(imgs, pipes)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -23,14 +23,14 @@ type ClassifierConfig struct {
 // — one forward context and one reliable engine per worker — is built once
 // and reused across every batch, so a serving layer pays the engine
 // construction cost at startup instead of per call. It is safe for
-// concurrent use: overlapping ClassifyBatch calls serialize through the
-// engine's exclusive entry point, each batch running with the full pool.
+// concurrent use: overlapping ClassifyBatch calls serialize on the pool,
+// each batch running with the full pool.
 //
 // Execution is sub-batch native: each worker claims contiguous sub-batches
 // of the incoming batch, runs the reliable stage and qualifier per image
 // (per-execution bucket/counter semantics) and the non-reliable CNN portion
-// as ONE NCHW micro-batch — so the serve tier's MaxBatch directly sets how
-// much weight-streaming the GEMMs amortise.
+// as ONE NCHW batch per input shape — so the serve tier's MaxBatch directly
+// sets how much weight-streaming the GEMMs amortise.
 type BatchClassifier struct {
 	h    *HybridNetwork
 	pool *infer.BatchEngine
@@ -68,37 +68,20 @@ func (c *BatchClassifier) Workers() int { return c.pool.Workers() }
 func (c *BatchClassifier) SubBatch() int { return c.pool.SubBatch() }
 
 // ClassifyBatch classifies every image across the pool, returning results
-// in input order. Workers claim per-worker sub-batches (ragged tails
-// rebalance through work stealing); within a sub-batch the reliable stage
-// runs per image — each worker's leaky bucket is reset between images and
-// the reliable-work counters are reported as per-inference deltas, so every
-// result keeps the per-execution semantics of Classify — while the CNN
-// stage runs the whole sub-batch through one batched forward pass.
-func (c *BatchClassifier) ClassifyBatch(imgs []*tensor.Tensor) ([]Result, error) {
-	results, _, err := c.ClassifyBatchTimed(imgs)
-	return results, err
-}
-
-// ClassifyBatchTimed is ClassifyBatch plus the batch's per-stage wall-time
-// breakdown (reliable stage, qualifier, batched CNN), summed across the
-// workers that processed the batch's chunks — the observability layer's
-// view into where backend time goes. The timing costs a handful of
-// monotonic clock reads per chunk, nothing per image beyond stage 1's.
-func (c *BatchClassifier) ClassifyBatchTimed(imgs []*tensor.Tensor) ([]Result, StageTimes, error) {
-	return c.ClassifyBatchPipelined(imgs, nil)
-}
-
-// ClassifyBatchPipelined is ClassifyBatchTimed with a per-image pipeline
-// selection: pipes[i] == PipelineCNN runs image i through the batched CNN
-// only (no reliable stage, no qualifier — its Result carries a zero
-// Qualifier and safety-critical classes decide Rejected), PipelineFull
-// keeps the full hybrid semantics. nil pipes means PipelineFull for every
-// image. Mixed sub-batches coalesce: within a chunk the fast images run
-// the non-reliable prefix batched and then join the full images' feature
-// maps in one batched CNN continuation, so full-pipeline results are
-// bit-identical whatever the batch mix (the GEMM kernels are batch-width
-// independent).
-func (c *BatchClassifier) ClassifyBatchPipelined(imgs []*tensor.Tensor, pipes []Pipeline) ([]Result, StageTimes, error) {
+// in input order plus the batch's per-stage wall-time breakdown (reliable
+// stage, qualifier, batched CNN), summed across the workers that processed
+// its sub-batches. pipes[i] selects image i's pipeline: PipelineFull keeps
+// the full hybrid semantics — the reliable stage runs per image, with each
+// worker's leaky bucket reset between images and the reliable-work counters
+// reported as per-inference deltas, exactly as Classify — while
+// PipelineCNN runs the batched CNN only (no reliable stage, no qualifier:
+// its Result carries a zero Qualifier and safety-critical classes decide
+// Rejected). nil pipes means PipelineFull for every image. Within a
+// sub-batch fast images coalesce with the full images' feature maps into
+// one batched CNN continuation, and a sample's CNN output does not depend
+// on its batch, so full-pipeline results are bit-identical to Classify
+// whatever the batch mix.
+func (c *BatchClassifier) ClassifyBatch(imgs []*tensor.Tensor, pipes []Pipeline) ([]Result, StageTimes, error) {
 	if pipes != nil && len(pipes) != len(imgs) {
 		return nil, StageTimes{}, fmt.Errorf("core: %d pipelines for %d images", len(pipes), len(imgs))
 	}
@@ -106,13 +89,13 @@ func (c *BatchClassifier) ClassifyBatchPipelined(imgs []*tensor.Tensor, pipes []
 	// Chunks complete on concurrent pool workers; fold their per-chunk
 	// stage times atomically.
 	var reliableNS, qualifierNS, cnnNS atomic.Int64
-	err := c.pool.RunSubExclusive(len(imgs), func(w *infer.Worker, lo, hi int) error {
+	err := c.pool.RunSub(len(imgs), func(w *infer.Worker, lo, hi int) error {
 		var st StageTimes
 		var chunkPipes []Pipeline
 		if pipes != nil {
 			chunkPipes = pipes[lo:hi]
 		}
-		err := c.h.classifyChunkPipelined(w.Ctx, w.Engine, imgs[lo:hi], chunkPipes, results[lo:hi], &st)
+		err := c.h.classifyChunk(w.Ctx, w.Engine, imgs[lo:hi], chunkPipes, results[lo:hi], &st)
 		reliableNS.Add(int64(st.Reliable))
 		qualifierNS.Add(int64(st.Qualifier))
 		cnnNS.Add(int64(st.CNN))

@@ -1,42 +1,36 @@
 // Package infer is the batched, concurrency-safe execution layer between
-// the CNN framework (internal/nn) and its callers (internal/core,
-// internal/fault campaigns, the CLIs). It owns the worker-pool idiom the
-// layer refactor enables: layers hold only immutable parameters, so a single
+// the CNN framework (internal/nn) and its callers (internal/core, the
+// trainer's evaluation, the CLIs). It owns the worker-pool idiom the layer
+// design enables: layers hold only immutable parameters, so a single
 // network can serve as many concurrent passes as there are workers, each
-// worker owning one nn.Context (activation caches + batch-sized im2col/GEMM
-// scratch) and, when configured, one reliable.Engine for the reliably
-// executed portion.
+// worker owning one nn.Context (activation caches + batch-sized
+// im2col/GEMM scratch) and, when configured, one reliable.Engine for the
+// reliably executed portion.
 //
 // Execution is sub-batch native: a batch of N images is split into
 // contiguous NCHW sub-batches (Config.SubBatch images each, default
 // ⌈N/workers⌉) and each worker drives its sub-batches through
-// nn.Sequential.ForwardBatch — ONE blocked GEMM per layer per sub-batch
-// instead of one per image, so convolution and dense layers stream their
-// weights once per sub-batch. This is a real algorithmic batch effect:
-// throughput rises with batch size (weight-traffic amortisation) on top of
+// nn.Sequential.ForwardBatch — ONE blocked GEMM per layer per sub-batch, so
+// convolution and dense layers stream their weights once per sub-batch.
+// Throughput rises with batch size (weight-traffic amortisation) on top of
 // rising with workers (parallelism), until the GEMM memory bandwidth
 // saturates. Sub-batches are claimed through internal/pool work stealing,
 // so ragged tails (N not divisible by workers×SubBatch) still balance.
 //
 // # Concurrency contract
 //
-// A BatchEngine runs ONE batch at a time: an overlapping Run (or anything
-// built on it — Forward, Predict, RunSub, PredictBatched) fails fast with
-// ErrBusy, because the per-worker contexts it would reuse are not
-// re-entrant. Callers that issue batches from several goroutines serialize
-// through RunExclusive/RunSubExclusive, the mutex-guarded entry points
-// (core.BatchClassifier does). Within a batch, work items are claimed
-// lock-free through internal/pool work stealing; each worker touches only
-// its own nn.Context and reliable.Engine, so no state is shared between
-// workers except the immutable network weights.
+// A BatchEngine runs ONE batch at a time: RunSub serialises overlapping
+// callers through a mutex, because the per-worker contexts are not
+// re-entrant. Within a batch, sub-batches are claimed lock-free through
+// internal/pool work stealing; each worker touches only its own nn.Context
+// and reliable.Engine, so no state is shared between workers except the
+// immutable network weights.
 package infer
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/nn"
 	"repro/internal/pool"
@@ -44,12 +38,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// ErrBusy is returned by Run (and everything built on it: Forward, Predict)
-// when another batch is already in flight on the same BatchEngine. Callers
-// that want to wait instead of fail should use RunExclusive.
-var ErrBusy = errors.New("infer: engine already running a batch")
-
-// Worker is the per-goroutine execution state handed to Run callbacks.
+// Worker is the per-goroutine execution state handed to RunSub callbacks.
 type Worker struct {
 	// ID is the worker index in [0, Workers).
 	ID int
@@ -68,7 +57,7 @@ type Config struct {
 	// (one GEMM per layer per sub-batch). 0 defaults to ⌈batch/workers⌉ —
 	// the whole batch in one GEMM sweep per worker. Smaller values trade
 	// GEMM size for steal granularity (better balance when per-image cost
-	// varies); 1 degenerates to per-sample execution.
+	// varies); 1 runs every image as its own N=1 batch.
 	SubBatch int
 	// EngineFactory, when non-nil, builds one reliable.Engine per worker
 	// (hybrid classification and fault campaigns need one; plain CNN
@@ -76,27 +65,21 @@ type Config struct {
 	EngineFactory func() (*reliable.Engine, error)
 }
 
-// BatchEngine fans work items out across a fixed pool of workers. The
+// BatchEngine fans sub-batches out across a fixed pool of workers. The
 // network (if any) is shared; every mutable artefact is per-worker. A
-// BatchEngine is safe for sequential reuse across many batches — contexts
-// and their scratch buffers persist, which is where the allocation win of
-// batching lives — but a single BatchEngine cannot run two batches
-// concurrently: an in-flight guard makes an overlapping Run fail fast with
-// ErrBusy, and RunExclusive is the serialized entry point for callers that
-// issue batches from multiple goroutines.
+// BatchEngine is safe for reuse across many batches — contexts and their
+// scratch buffers persist, which is where the allocation win of batching
+// lives — and for concurrent callers, whose batches queue on the engine
+// mutex and run one at a time.
 type BatchEngine struct {
 	net      *nn.Sequential
 	workers  []*Worker
 	subBatch int
-
-	// inflight enforces the one-batch-at-a-time contract; mu serializes
-	// RunExclusive callers in front of it.
-	inflight atomic.Bool
-	mu       sync.Mutex
+	mu       sync.Mutex // serialises batches: worker contexts are not re-entrant
 }
 
 // New builds a pool over net (which may be nil for engines used only via
-// Run with closures that carry their own workload).
+// RunSub with closures that carry their own workload).
 func New(net *nn.Sequential, cfg Config) (*BatchEngine, error) {
 	n := cfg.Workers
 	if n == 0 {
@@ -129,37 +112,6 @@ func (e *BatchEngine) Workers() int { return len(e.workers) }
 // Net returns the shared network (possibly nil).
 func (e *BatchEngine) Net() *nn.Sequential { return e.net }
 
-// Run executes fn(worker, i) for every i in [0, n), work-stealing across
-// the pool: each worker pulls the next unclaimed index, so uneven item
-// costs (retry storms in fault campaigns, early bucket trips) do not
-// stall the batch. The first error cancels remaining work and is returned.
-func (e *BatchEngine) Run(n int, fn func(w *Worker, i int) error) error {
-	if fn == nil {
-		return fmt.Errorf("infer: run needs a work function")
-	}
-	if !e.inflight.CompareAndSwap(false, true) {
-		return ErrBusy
-	}
-	defer e.inflight.Store(false)
-	err := pool.Run(n, len(e.workers), func(worker, i int) error {
-		return fn(e.workers[worker], i)
-	})
-	if err != nil {
-		return fmt.Errorf("infer: %w", err)
-	}
-	return nil
-}
-
-// RunExclusive is Run behind a lock: overlapping calls from different
-// goroutines queue up and execute one batch at a time instead of failing
-// with ErrBusy. This is the entry point for serving layers that flush
-// batches from concurrent paths onto one shared engine.
-func (e *BatchEngine) RunExclusive(n int, fn func(w *Worker, i int) error) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.Run(n, fn)
-}
-
 // SubBatch returns the configured sub-batch cap (0 = ⌈batch/workers⌉).
 func (e *BatchEngine) SubBatch() int { return e.subBatch }
 
@@ -176,11 +128,13 @@ func (e *BatchEngine) subBatchFor(n int) int {
 }
 
 // RunSub executes fn(worker, lo, hi) over contiguous sub-batches [lo, hi) of
-// an n-item batch — the sub-batch counterpart of Run. Sub-batch size is
-// Config.SubBatch (default ⌈n/workers⌉); sub-batches are claimed through the
-// same work stealing as Run, so a ragged tail (or a worker stuck on a slow
-// sub-batch) rebalances instead of stalling the batch. Results must be
-// written to disjoint [lo, hi) slices, which keeps the callback race-free.
+// an n-item batch. Sub-batch size is Config.SubBatch (default
+// ⌈n/workers⌉); sub-batches are claimed through work stealing, so a ragged
+// tail (or a worker stuck on a slow sub-batch) rebalances instead of
+// stalling the batch. Results must be written to disjoint [lo, hi) slices,
+// which keeps the callback race-free. Overlapping calls from different
+// goroutines queue on the engine mutex. The first error cancels remaining
+// work and is returned.
 func (e *BatchEngine) RunSub(n int, fn func(w *Worker, lo, hi int) error) error {
 	if fn == nil {
 		return fmt.Errorf("infer: run needs a work function")
@@ -189,23 +143,15 @@ func (e *BatchEngine) RunSub(n int, fn func(w *Worker, lo, hi int) error) error 
 		return nil
 	}
 	size := e.subBatchFor(n)
-	chunks := (n + size - 1) / size
-	return e.Run(chunks, func(w *Worker, ci int) error {
-		lo := ci * size
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
-		return fn(w, lo, hi)
-	})
-}
-
-// RunSubExclusive is RunSub behind the RunExclusive lock: overlapping
-// batches from different goroutines queue instead of failing with ErrBusy.
-func (e *BatchEngine) RunSubExclusive(n int, fn func(w *Worker, lo, hi int) error) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.RunSub(n, fn)
+	err := pool.Run((n+size-1)/size, len(e.workers), func(worker, ci int) error {
+		return fn(e.workers[worker], ci*size, min(ci*size+size, n))
+	})
+	if err != nil {
+		return fmt.Errorf("infer: %w", err)
+	}
+	return nil
 }
 
 // Stats sums the reliable-execution work counters across all workers —
@@ -226,152 +172,44 @@ type Prediction struct {
 	Probs []float32
 }
 
-// Forward runs the shared network over every input and returns the outputs
-// in input order.
-func (e *BatchEngine) Forward(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	if e.net == nil {
-		return nil, fmt.Errorf("infer: engine has no network")
-	}
-	outs := make([]*tensor.Tensor, len(xs))
-	err := e.Run(len(xs), func(w *Worker, i int) error {
-		out, err := e.net.Forward(w.Ctx, xs[i])
-		if err != nil {
-			return err
-		}
-		outs[i] = out
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return outs, nil
-}
-
-// Predict classifies every input through the shared network one sample at a
-// time and returns softmax probabilities and argmax classes in input order.
-// It is the per-sample fan-out path, kept as the reference the batched path
-// is benchmarked and equivalence-tested against; serving callers should
-// prefer PredictBatched.
+// Predict classifies every input through the shared network and returns
+// softmax probabilities and argmax classes in input order. Inputs group by
+// shape (tensor.GroupByShape); each group's sub-batches pack into NCHW
+// tensors (a lone image is an N=1 view) and run with one GEMM per layer,
+// then each logits row is softmaxed individually. A sample's result is the
+// same bits whatever batch it rode in, so results do not depend on the
+// worker count, the sub-batch size or the other inputs.
 func (e *BatchEngine) Predict(xs []*tensor.Tensor) ([]Prediction, error) {
 	if e.net == nil {
 		return nil, fmt.Errorf("infer: engine has no network")
 	}
 	preds := make([]Prediction, len(xs))
-	err := e.Run(len(xs), func(w *Worker, i int) error {
-		probs, class, err := nn.PredictCtx(w.Ctx, e.net, xs[i])
+	for _, group := range tensor.GroupByShape(xs) {
+		err := e.RunSub(len(group), func(w *Worker, lo, hi int) error {
+			batch, err := tensor.StackAt(xs, group[lo:hi])
+			if err != nil {
+				return err
+			}
+			logits, err := e.net.ForwardBatch(w.Ctx, batch)
+			if err != nil {
+				return err
+			}
+			for j, i := range group[lo:hi] {
+				row, err := logits.Sample(j)
+				if err != nil {
+					return err
+				}
+				probs, class, err := nn.SoftmaxArgmax(row)
+				if err != nil {
+					return err
+				}
+				preds[i] = Prediction{Class: class, Probs: probs}
+			}
+			return nil
+		})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		preds[i] = Prediction{Class: class, Probs: probs}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return preds, nil
-}
-
-// uniformShape reports whether every tensor shares xs[0]'s shape (vacuously
-// true for empty or single-element input).
-func uniformShape(xs []*tensor.Tensor) bool {
-	for _, x := range xs[1:] {
-		if !xs[0].SameShape(x) {
-			return false
-		}
-	}
-	return true
-}
-
-// ForwardBatched runs the shared network over every input through the
-// batch-native path — each worker packs its sub-batch into one NCHW tensor
-// and issues one ForwardBatch (one GEMM per layer) — and returns per-sample
-// outputs in input order. Mixed-shape inputs cannot pack and fall back to
-// the per-sample Forward path (identical outputs, no batch effect). Unlike
-// Forward, which allocates an independent tensor per sample, the outputs of
-// one sub-batch are views over a single shared backing array: writes stay
-// disjoint per sample, but retaining one output retains the whole
-// sub-batch's output memory (Clone a sample to keep it long-term).
-func (e *BatchEngine) ForwardBatched(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	if e.net == nil {
-		return nil, fmt.Errorf("infer: engine has no network")
-	}
-	if len(xs) > 1 && !uniformShape(xs) {
-		return e.Forward(xs)
-	}
-	outs := make([]*tensor.Tensor, len(xs))
-	err := e.RunSub(len(xs), func(w *Worker, lo, hi int) error {
-		bout, err := e.forwardSub(w, xs[lo:hi])
-		if err != nil {
-			return err
-		}
-		for i := lo; i < hi; i++ {
-			out, err := bout.Sample(i - lo)
-			if err != nil {
-				return err
-			}
-			outs[i] = out
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return outs, nil
-}
-
-// PredictBatched is Predict through the batch-native path: sub-batches are
-// packed into NCHW tensors and classified with one GEMM per layer per
-// sub-batch, then each logits row is softmaxed individually. Results are
-// identical to Predict for any worker count and sub-batch size; mixed-shape
-// inputs cannot pack and fall back to the per-sample Predict path.
-func (e *BatchEngine) PredictBatched(xs []*tensor.Tensor) ([]Prediction, error) {
-	if e.net == nil {
-		return nil, fmt.Errorf("infer: engine has no network")
-	}
-	if len(xs) > 1 && !uniformShape(xs) {
-		return e.Predict(xs)
-	}
-	preds := make([]Prediction, len(xs))
-	err := e.RunSub(len(xs), func(w *Worker, lo, hi int) error {
-		bout, err := e.forwardSub(w, xs[lo:hi])
-		if err != nil {
-			return err
-		}
-		if bout.Rank() != 2 {
-			return fmt.Errorf("infer: batched predict wants (N,classes) logits, got %v", bout.Shape())
-		}
-		for i := lo; i < hi; i++ {
-			logits, err := bout.Sample(i - lo)
-			if err != nil {
-				return err
-			}
-			probs, class, err := nn.SoftmaxArgmax(logits)
-			if err != nil {
-				return err
-			}
-			preds[i] = Prediction{Class: class, Probs: probs}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return preds, nil
-}
-
-// forwardSub packs one sub-batch and runs the batched forward through the
-// worker's context. A single-image sub-batch skips the pack copy via a
-// reshape view.
-func (e *BatchEngine) forwardSub(w *Worker, chunk []*tensor.Tensor) (*tensor.Tensor, error) {
-	var batch *tensor.Tensor
-	var err error
-	if len(chunk) == 1 {
-		batch, err = chunk[0].Reshape(append([]int{1}, chunk[0].Shape()...)...)
-	} else {
-		batch, err = tensor.Stack(chunk)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return e.net.ForwardBatch(w.Ctx, batch)
 }

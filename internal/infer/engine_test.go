@@ -2,6 +2,8 @@ package infer
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -34,24 +36,56 @@ func randImages(n, size int, seed int64) []*tensor.Tensor {
 	return xs
 }
 
-// TestBatchEngineMatchesSerial: the pooled result must be exactly the serial
-// result, in order, for every worker count. Run with -race this is the
-// concurrent shared-weight inference gate of the refactor.
+// predictAlone classifies x alone, as an N=1 batch through a fresh context
+// — the reference every pooled prediction must reproduce bit for bit.
+func predictAlone(t testing.TB, net *nn.Sequential, x *tensor.Tensor) Prediction {
+	t.Helper()
+	x1, err := x.Reshape(append([]int{1}, x.Shape()...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logits, err := net.ForwardBatch(nn.NewContext(), x1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row, err := logits.Sample(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probs, class, err := nn.SoftmaxArgmax(row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Prediction{Class: class, Probs: probs}
+}
+
+// checkPredictions compares got against each input predicted alone, class
+// and every probability bit.
+func checkPredictions(t *testing.T, label string, net *nn.Sequential, xs []*tensor.Tensor, got []Prediction) {
+	t.Helper()
+	if len(got) != len(xs) {
+		t.Fatalf("%s: %d predictions for %d inputs", label, len(got), len(xs))
+	}
+	for i, x := range xs {
+		want := predictAlone(t, net, x)
+		if got[i].Class != want.Class || len(got[i].Probs) != len(want.Probs) {
+			t.Fatalf("%s: prediction %d = class %d (%d probs), want %d (%d probs)",
+				label, i, got[i].Class, len(got[i].Probs), want.Class, len(want.Probs))
+		}
+		for c, p := range got[i].Probs {
+			if math.Float32bits(p) != math.Float32bits(want.Probs[c]) {
+				t.Fatalf("%s: probs[%d][%d] = %v, alone %v", label, i, c, p, want.Probs[c])
+			}
+		}
+	}
+}
+
+// TestBatchEngineMatchesSerial: the pooled result must be exactly each image
+// classified alone, in order, for every worker count. Run with -race this is
+// the concurrent shared-weight inference gate.
 func TestBatchEngineMatchesSerial(t *testing.T) {
 	net := microNet(t, 1)
 	xs := randImages(17, 16, 2)
-
-	// Serial reference through one context.
-	ctx := nn.NewContext()
-	want := make([]int, len(xs))
-	for i, x := range xs {
-		_, class, err := nn.PredictCtx(ctx, net, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = class
-	}
-
 	for _, workers := range []int{1, 2, 4, 8} {
 		e, err := New(net, Config{Workers: workers})
 		if err != nil {
@@ -64,60 +98,25 @@ func TestBatchEngineMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, p := range preds {
-				if p.Class != want[i] {
-					t.Fatalf("workers=%d round=%d: class[%d] = %d, want %d",
-						workers, round, i, p.Class, want[i])
-				}
-				var sum float64
-				for _, v := range p.Probs {
-					sum += float64(v)
-				}
-				if sum < 0.999 || sum > 1.001 {
-					t.Fatalf("workers=%d: probs[%d] sum %v", workers, i, sum)
-				}
-			}
-		}
-	}
-}
-
-func TestBatchEngineForward(t *testing.T) {
-	net := microNet(t, 3)
-	xs := randImages(5, 16, 4)
-	e, err := New(net, Config{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs, err := e.Forward(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := nn.NewContext()
-	for i, x := range xs {
-		want, err := net.Forward(ctx, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d, _ := outs[i].MaxAbsDiff(want); d > 1e-6 {
-			t.Fatalf("forward[%d] diverges by %v", i, d)
+			checkPredictions(t, fmt.Sprintf("workers=%d round=%d", workers, round), net, xs, preds)
 		}
 	}
 }
 
 func TestBatchEngineRun(t *testing.T) {
-	e, err := New(nil, Config{Workers: 4})
+	e, err := New(nil, Config{Workers: 4, SubBatch: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Workers() != 4 {
-		t.Fatalf("workers = %d", e.Workers())
+	if e.Workers() != 4 || e.SubBatch() != 3 {
+		t.Fatalf("workers = %d, sub-batch = %d", e.Workers(), e.SubBatch())
 	}
 	var count atomic.Int64
-	if err := e.Run(100, func(w *Worker, i int) error {
+	if err := e.RunSub(100, func(w *Worker, lo, hi int) error {
 		if w.Ctx == nil {
 			t.Error("worker without context")
 		}
-		count.Add(1)
+		count.Add(int64(hi - lo))
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -128,8 +127,8 @@ func TestBatchEngineRun(t *testing.T) {
 
 	// Errors propagate and cancel the batch.
 	boom := errors.New("boom")
-	err = e.Run(1000, func(w *Worker, i int) error {
-		if i == 3 {
+	err = e.RunSub(1000, func(w *Worker, lo, hi int) error {
+		if lo <= 3 && 3 < hi {
 			return boom
 		}
 		return nil
@@ -138,14 +137,8 @@ func TestBatchEngineRun(t *testing.T) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 
-	// Empty batch and validation.
-	if err := e.Run(0, func(w *Worker, i int) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Run(-1, nil); err == nil {
-		t.Error("negative count should fail")
-	}
-	if err := e.Run(1, nil); err == nil {
+	// Validation.
+	if err := e.RunSub(1, nil); err == nil {
 		t.Error("nil fn should fail")
 	}
 	if _, err := New(nil, Config{Workers: -2}); err == nil {
@@ -156,65 +149,29 @@ func TestBatchEngineRun(t *testing.T) {
 	}
 }
 
-// TestBatchEngineConcurrentRunRejected: the documented one-batch-at-a-time
-// contract is now enforced — a Run that overlaps an in-flight batch fails
-// fast with ErrBusy instead of corrupting per-worker state. Under -race
-// this also proves the guard itself is sound.
-func TestBatchEngineConcurrentRunRejected(t *testing.T) {
-	e, err := New(nil, Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inFirst := make(chan struct{})
-	release := make(chan struct{})
-	firstDone := make(chan error, 1)
-	var once sync.Once
-	go func() {
-		firstDone <- e.Run(4, func(w *Worker, i int) error {
-			once.Do(func() { close(inFirst) })
-			<-release
-			return nil
-		})
-	}()
-	<-inFirst
-	// Overlapping batch: cleanly rejected, not executed.
-	if err := e.Run(1, func(w *Worker, i int) error {
-		t.Error("overlapping batch must not execute")
-		return nil
-	}); !errors.Is(err, ErrBusy) {
-		t.Fatalf("overlapping Run = %v, want ErrBusy", err)
-	}
-	close(release)
-	if err := <-firstDone; err != nil {
-		t.Fatal(err)
-	}
-	// The guard resets: the engine is usable again.
-	if err := e.Run(1, func(w *Worker, i int) error { return nil }); err != nil {
-		t.Fatalf("post-batch Run: %v", err)
-	}
-}
-
-// TestBatchEngineRunExclusive: concurrent RunExclusive callers serialize —
-// every batch executes, none observes ErrBusy, and no two batches overlap.
-func TestBatchEngineRunExclusive(t *testing.T) {
-	e, err := New(nil, Config{Workers: 3})
+// TestBatchEngineRunSubSerializes: concurrent RunSub callers serialise on
+// the engine — every batch executes in full and no two batches overlap, so
+// the per-worker contexts are never shared. Meant for -race -count=10.
+func TestBatchEngineRunSubSerializes(t *testing.T) {
+	e, err := New(nil, Config{Workers: 3, SubBatch: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const callers, items = 8, 20
-	var active, maxActive, total atomic.Int64
+	var mu sync.Mutex
+	var order []int // caller of every executed sub-batch, in execution order
+	var total atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(callers)
 	errs := make(chan error, callers)
 	for c := 0; c < callers; c++ {
 		go func() {
 			defer wg.Done()
-			errs <- e.RunExclusive(items, func(w *Worker, i int) error {
-				if a := active.Add(1); a > maxActive.Load() {
-					maxActive.Store(a) // approximate high-water mark; exact check below is batch overlap via Run guard
-				}
-				total.Add(1)
-				active.Add(-1)
+			errs <- e.RunSub(items, func(w *Worker, lo, hi int) error {
+				mu.Lock()
+				order = append(order, c)
+				mu.Unlock()
+				total.Add(int64(hi - lo))
 				return nil
 			})
 		}()
@@ -223,14 +180,21 @@ func TestBatchEngineRunExclusive(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		if err != nil {
-			t.Fatalf("RunExclusive: %v", err)
+			t.Fatalf("RunSub: %v", err)
 		}
 	}
 	if got := total.Load(); got != callers*items {
 		t.Fatalf("executed %d of %d items", got, callers*items)
 	}
-	if maxActive.Load() > int64(e.Workers()) {
-		t.Fatalf("observed %d concurrent items for %d workers — batches overlapped", maxActive.Load(), e.Workers())
+	// Each caller's sub-batches must form one contiguous run.
+	finished := make(map[int]bool)
+	for i := 1; i < len(order); i++ {
+		if order[i] != order[i-1] {
+			finished[order[i-1]] = true
+			if finished[order[i]] {
+				t.Fatalf("caller %d's batch resumed after another batch ran: %v", order[i], order)
+			}
+		}
 	}
 }
 
@@ -243,7 +207,7 @@ func TestRunSubCoversEveryIndex(t *testing.T) {
 		{4, 0, 4},
 		{4, 0, 1},
 		{3, 2, 11}, // explicit cap, ragged tail
-		{2, 1, 5},  // per-sample degenerate
+		{2, 1, 5},  // N=1 sub-batches
 		{8, 16, 3}, // cap larger than batch
 	} {
 		e, err := New(nil, Config{Workers: tc.workers, SubBatch: tc.subBatch})
@@ -302,28 +266,15 @@ func TestRunSubCoversEveryIndex(t *testing.T) {
 	}
 }
 
-// TestPredictBatchedMatchesPredict: the batch-native path (packed NCHW
-// sub-batches, one GEMM per layer) must classify exactly like the
-// per-sample fan-out, for every worker count and sub-batch size, including
+// TestPredictBatchedMatchesPredict: the batch-native Predict (packed NCHW
+// sub-batches, one GEMM per layer) must classify every image bit for bit as
+// it classifies alone, for every worker count and sub-batch size, including
 // N=1 and batches ragged against the pool. Run with -race this is the
 // golden-equivalence gate of the batched execution layer.
 func TestPredictBatchedMatchesPredict(t *testing.T) {
 	net := microNet(t, 5)
 	for _, n := range []int{1, 2, 7, 17} {
 		xs := randImages(n, 16, int64(n))
-		ctx := nn.NewContext()
-		type ref struct {
-			class int
-			probs []float32
-		}
-		want := make([]ref, n)
-		for i, x := range xs {
-			probs, class, err := nn.PredictCtx(ctx, net, x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want[i] = ref{class, probs}
-		}
 		for _, cfg := range []Config{
 			{Workers: 1}, {Workers: 4}, {Workers: 4, SubBatch: 3}, {Workers: 2, SubBatch: 1},
 		} {
@@ -333,63 +284,20 @@ func TestPredictBatchedMatchesPredict(t *testing.T) {
 			}
 			// Two rounds: the second reuses the warmed batch scratch.
 			for round := 0; round < 2; round++ {
-				preds, err := e.PredictBatched(xs)
+				preds, err := e.Predict(xs)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i, p := range preds {
-					if p.Class != want[i].class {
-						t.Fatalf("n=%d cfg=%+v round=%d: class[%d] = %d, want %d",
-							n, cfg, round, i, p.Class, want[i].class)
-					}
-					for c := range p.Probs {
-						d := float64(p.Probs[c]) - float64(want[i].probs[c])
-						if d > 1e-5 || d < -1e-5 {
-							t.Fatalf("n=%d cfg=%+v: probs[%d][%d] = %v, want %v",
-								n, cfg, i, c, p.Probs[c], want[i].probs[c])
-						}
-					}
-				}
+				checkPredictions(t, fmt.Sprintf("n=%d cfg=%+v round=%d", n, cfg, round), net, xs, preds)
 			}
 		}
 	}
 }
 
-// TestForwardBatchedMatchesForward: per-sample outputs recovered from the
-// packed sub-batches equal the per-sample fan-out outputs.
-func TestForwardBatchedMatchesForward(t *testing.T) {
-	net := microNet(t, 6)
-	xs := randImages(9, 16, 7)
-	e, err := New(net, Config{Workers: 3, SubBatch: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs, err := e.ForwardBatched(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := nn.NewContext()
-	for i, x := range xs {
-		want, err := net.Forward(ctx, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d, _ := outs[i].MaxAbsDiff(want); d > 1e-5 {
-			t.Fatalf("batched forward[%d] diverges by %v", i, d)
-		}
-	}
-	if _, err := (&BatchEngine{workers: e.workers}).ForwardBatched(xs); err == nil {
-		t.Error("batched forward without network should fail")
-	}
-	if _, err := (&BatchEngine{workers: e.workers}).PredictBatched(xs); err == nil {
-		t.Error("batched predict without network should fail")
-	}
-}
-
-// TestForwardBatchedMixedShapes: inputs that cannot pack into one NCHW
-// tensor fall back to the per-sample path instead of erroring — matching
-// what Forward/Predict always accepted.
-func TestForwardBatchedMixedShapes(t *testing.T) {
+// TestPredictMixedShapes: inputs of several shapes group by shape
+// (first-seen order) and each group runs batched; every result equals its
+// image classified alone, wherever its group sits in the input.
+func TestPredictMixedShapes(t *testing.T) {
 	// A conv-only net tolerates any input size ≥ the kernel.
 	conv, err := nn.NewConv2D("c", 3, 2, 3, 1, 0, rand.New(rand.NewSource(8)))
 	if err != nil {
@@ -399,25 +307,17 @@ func TestForwardBatchedMixedShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xs := append(randImages(3, 16, 9), randImages(2, 12, 10)...)
+	a, b := randImages(3, 16, 9), randImages(2, 12, 10)
+	xs := []*tensor.Tensor{a[0], b[0], a[1], randImages(1, 9, 11)[0], a[2], b[1]}
 	e, err := New(net, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, err := e.ForwardBatched(xs)
+	preds, err := e.Predict(xs)
 	if err != nil {
-		t.Fatalf("mixed-shape batched forward: %v", err)
+		t.Fatalf("mixed-shape predict: %v", err)
 	}
-	ctx := nn.NewContext()
-	for i, x := range xs {
-		want, err := net.Forward(ctx, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d, _ := outs[i].MaxAbsDiff(want); d > 1e-6 {
-			t.Fatalf("mixed-shape forward[%d] diverges by %v", i, d)
-		}
-	}
+	checkPredictions(t, "mixed shapes", net, xs, preds)
 }
 
 func TestBatchEngineDefaultWorkers(t *testing.T) {

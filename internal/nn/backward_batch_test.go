@@ -8,14 +8,15 @@ import (
 	"repro/internal/tensor"
 )
 
-// Golden-equivalence suite for the batch-native backward path: for every
-// layer and for whole networks, BackwardBatch after a training-mode
-// ForwardBatch must match per-sample Forward+Backward — input gradients
-// sample for sample, parameter gradients accumulator for accumulator. The
-// pure-Go reductions (bias gradients, mask/argmax routing) are bit-identical
-// by construction; the GEMM-shaped dW/dX chains regroup float32 additions,
-// so those compare under a scaled 1e-5 tolerance. The whole file runs under
-// -race and -tags noasm in CI.
+// Batch-composition suite for the backward pass: for every layer and for
+// whole networks, BackwardBatch over a stacked batch must match the same
+// samples run one at a time as N=1 batches — input gradients sample for
+// sample, parameter gradients accumulator for accumulator. (The finite
+// difference checks in nn_test.go pin the N=1 and N=3 gradients against
+// the definition.) The pure-Go reductions (bias gradients, mask/argmax
+// routing) are bit-identical by construction; the GEMM-shaped dW/dX chains
+// regroup float32 additions, so those compare under a scaled 1e-5
+// tolerance. The whole file runs under -race and -tags noasm in CI.
 
 // maxAbs returns the largest absolute element of t.
 func maxAbs(t *tensor.Tensor) float32 {
@@ -45,7 +46,7 @@ func closeGrads(t *testing.T, name string, got, want *tensor.Tensor) {
 		scale = 1
 	}
 	if d > batchTol*scale {
-		t.Fatalf("%s: batched gradient differs from per-sample by %g (scale %g)", name, d, scale)
+		t.Fatalf("%s: batched gradient differs from N=1 batches by %g (scale %g)", name, d, scale)
 	}
 }
 
@@ -65,9 +66,10 @@ func snapshotGrads(l Layer) []*tensor.Tensor {
 	return out
 }
 
-// checkBackwardBatchMatches drives one layer through both backward styles
-// with the same inputs and output gradients and compares input gradients
-// sample for sample and parameter gradients accumulator for accumulator.
+// checkBackwardBatchMatches drives one layer over the stacked batch and over
+// each sample as an N=1 batch, with the same inputs and output gradients,
+// and compares input gradients sample for sample and parameter gradients
+// accumulator for accumulator.
 func checkBackwardBatchMatches(t *testing.T, layer Layer, xs []*tensor.Tensor, batch *tensor.Tensor) {
 	t.Helper()
 	n := len(xs)
@@ -104,19 +106,17 @@ func checkBackwardBatchMatches(t *testing.T, layer Layer, xs []*tensor.Tensor, b
 	}
 	bgrads := snapshotGrads(layer)
 
-	// Per-sample reference over the same inputs and gradients.
+	// N=1 reference over the same inputs and gradients.
 	zeroGrads(layer)
 	ctx := NewContext()
 	ctx.SetTraining(true)
 	for i, x := range xs {
-		if _, err := layer.Forward(ctx, x); err != nil {
-			t.Fatalf("%s: per-sample forward %d: %v", layer.Name(), i, err)
+		if _, err := forward1(ctx, layer, x); err != nil {
+			t.Fatalf("%s: N=1 forward %d: %v", layer.Name(), i, err)
 		}
-		// Per-sample Backward wants the per-sample output shape, which can
-		// differ in rank from the batch row (Flatten emits rank-1).
-		want, err := layer.Backward(ctx, gs[i])
+		want, err := backward1(ctx, layer, gs[i])
 		if err != nil {
-			t.Fatalf("%s: per-sample backward %d: %v", layer.Name(), i, err)
+			t.Fatalf("%s: N=1 backward %d: %v", layer.Name(), i, err)
 		}
 		got, err := bdx.Sample(i)
 		if err != nil {
@@ -221,8 +221,8 @@ func TestBackwardBatchFlatten(t *testing.T) {
 
 // TestBackwardBatchDropout pins the one stochastic layer. A single dropout
 // layer draws its mask element-ascending over the flattened batch — the
-// same RNG stream N sequential per-sample passes consume — so with matched
-// seeds the masks, outputs and gradients agree exactly.
+// same RNG stream N sequential N=1 passes consume — so with matched seeds
+// the masks, outputs and gradients agree exactly.
 func TestBackwardBatchDropout(t *testing.T) {
 	baseRng := rand.New(rand.NewSource(66))
 	d, err := NewDropout("drop", 0.4, baseRng)
@@ -247,10 +247,10 @@ func TestBackwardBatchDropout(t *testing.T) {
 	ctx.SetTraining(true)
 	ctx.SetRand(rand.New(rand.NewSource(7)))
 	for i, x := range xs {
-		if _, err := d.Forward(ctx, x); err != nil {
+		if _, err := forward1(ctx, d, x); err != nil {
 			t.Fatal(err)
 		}
-		want, err := d.Backward(ctx, gs[i])
+		want, err := backward1(ctx, d, gs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,7 +267,7 @@ func TestBackwardBatchDropout(t *testing.T) {
 		}
 	}
 
-	// Inference contexts: BackwardBatch is the identity, like Backward.
+	// Inference contexts: BackwardBatch is the identity.
 	ictx := NewContext()
 	if _, err := d.ForwardBatch(ictx, batch); err != nil {
 		t.Fatal(err)
@@ -283,9 +283,9 @@ func TestBackwardBatchDropout(t *testing.T) {
 
 // TestBackwardBatchBiasBitIdentical pins the tensor.AddRowSums/AddColSums
 // accumulation-order design: bias gradients never pass through a GEMM, so
-// batched and per-sample dB must agree bit for bit on EVERY build (asm and
-// noasm alike) — each sample's spatial sum is its own float32 chain folded
-// into the accumulator in sample order, exactly as N Backward calls fold.
+// a stacked batch and N sequential N=1 batches must agree on dB bit for bit
+// on EVERY build (asm and noasm alike) — each sample's spatial sum is its
+// own float32 chain folded into the accumulator in sample order.
 func TestBackwardBatchBiasBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	conv, err := NewConv2D("conv", 3, 6, 3, 1, 1, rng)
@@ -345,17 +345,17 @@ func TestBackwardBatchBiasBitIdentical(t *testing.T) {
 		ctx := NewContext()
 		ctx.SetTraining(true)
 		for i, x := range xs {
-			if _, err := layer.Forward(ctx, x); err != nil {
+			if _, err := forward1(ctx, layer, x); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := layer.Backward(ctx, gs[i]); err != nil {
+			if _, err := backward1(ctx, layer, gs[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
 		want := layer.Params()[biasIdx].Grad
 		for i, v := range want.Data() {
 			if bdb.Data()[i] != v {
-				t.Fatalf("%s bias grad elem %d: batched %v != per-sample %v (must be bit-identical)",
+				t.Fatalf("%s bias grad elem %d: batched %v != N=1 batches %v (must be bit-identical)",
 					layer.Name(), i, bdb.Data()[i], v)
 			}
 		}
@@ -363,9 +363,9 @@ func TestBackwardBatchBiasBitIdentical(t *testing.T) {
 }
 
 // TestBackwardBatchSequentialMicro pins the whole micro-AlexNet training
-// step: batched forward + batched softmax-cross-entropy + batched backward
-// must match the per-sample loop — losses, every parameter gradient, and
-// the input gradient.
+// step: forward + softmax-cross-entropy + backward over a stacked batch
+// must match the loop over N=1 batches — losses, every parameter gradient,
+// and the input gradient.
 func TestBackwardBatchSequentialMicro(t *testing.T) {
 	rng := rand.New(rand.NewSource(68))
 	net, err := NewMicroAlexNet(DefaultMicroConfig(), rng)
@@ -405,16 +405,20 @@ func TestBackwardBatchSequentialMicro(t *testing.T) {
 		ctx.SetTraining(true)
 		var loss float64
 		for i, x := range xs {
-			logits, err := net.Forward(ctx, x)
+			x1, err := batchOf(x)
 			if err != nil {
 				t.Fatal(err)
 			}
-			l, g, err := CrossEntropyLoss(logits, labels[i])
+			logits, err := net.ForwardBatch(ctx, x1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, g, err := CrossEntropyLossBatch(logits, labels[i:i+1])
 			if err != nil {
 				t.Fatal(err)
 			}
 			loss += l
-			dx, err := net.Backward(ctx, g)
+			dx, err := net.BackwardBatch(ctx, g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -422,10 +426,14 @@ func TestBackwardBatchSequentialMicro(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			closeGrads(t, fmt.Sprintf("micro dX sample %d (batch %d)", i, n), got, dx)
+			want, err := dx.Sample(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			closeGrads(t, fmt.Sprintf("micro dX sample %d (batch %d)", i, n), got, want)
 		}
 		if d := bloss - loss; d > 1e-6*float64(n) || d < -1e-6*float64(n) {
-			t.Fatalf("batch %d: batched loss %v != per-sample sum %v", n, bloss, loss)
+			t.Fatalf("batch %d: batched loss %v != N=1 sum %v", n, bloss, loss)
 		}
 		for pi, p := range net.Params() {
 			closeGrads(t, fmt.Sprintf("micro %s (batch %d)", p.Name, n), bgrads[pi], p.Grad)
@@ -434,7 +442,8 @@ func TestBackwardBatchSequentialMicro(t *testing.T) {
 }
 
 // TestCrossEntropyLossBatchMatchesPerSample pins the batched loss bit for
-// bit: same softmax rows, same clamp, same float64 summation order.
+// bit against each row alone as an N=1 batch: same softmax rows, same
+// clamp, same float64 summation order.
 func TestCrossEntropyLossBatchMatchesPerSample(t *testing.T) {
 	rng := rand.New(rand.NewSource(69))
 	n, k := 7, 6
@@ -450,11 +459,11 @@ func TestCrossEntropyLossBatchMatchesPerSample(t *testing.T) {
 	}
 	var loss float64
 	for i := 0; i < n; i++ {
-		row, err := logits.Sample(i)
+		row1, err := tensor.FromSlice(logits.Data()[i*k:(i+1)*k], 1, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		l, g, err := CrossEntropyLoss(row, labels[i])
+		l, g, err := CrossEntropyLossBatch(row1, labels[i:i+1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -465,12 +474,12 @@ func TestCrossEntropyLossBatchMatchesPerSample(t *testing.T) {
 		}
 		for j, v := range g.Data() {
 			if brow.Data()[j] != v {
-				t.Fatalf("grad row %d elem %d: batched %v != per-sample %v", i, j, brow.Data()[j], v)
+				t.Fatalf("grad row %d elem %d: batched %v != N=1 %v", i, j, brow.Data()[j], v)
 			}
 		}
 	}
 	if bloss != loss {
-		t.Fatalf("batched loss %v != per-sample sum %v", bloss, loss)
+		t.Fatalf("batched loss %v != N=1 sum %v", bloss, loss)
 	}
 
 	// Shape errors name the offending dims.

@@ -8,11 +8,15 @@ import (
 	"repro/internal/tensor"
 )
 
-// Golden-equivalence suite for the batch-native forward path: for every
-// layer and for whole networks, ForwardBatch over a packed batch must match
-// per-sample Forward to 1e-5, for N=1 and for batch sizes that are ragged
-// against typical worker counts.
+// Batch-composition suite for the forward pass: for every layer and for
+// whole networks, a sample's output inside a stacked batch must equal the
+// same sample run alone as an N=1 batch, bit for bit (math.Float32bits) —
+// the contract that makes a served verdict independent of which requests
+// shared its batch. Convolution is additionally pinned to the direct-loop
+// reference ForwardNaive.
 
+// batchTol bounds float32 regrouping against references that sum in a
+// different order (ForwardNaive, the GEMM-shaped backward chains).
 const batchTol = 1e-5
 
 // randBatch builds n random CHW samples plus their NCHW pack.
@@ -31,12 +35,12 @@ func randBatch(t testing.TB, rng *rand.Rand, n, c, h, w int) ([]*tensor.Tensor, 
 	return xs, batch
 }
 
-// checkBatchMatches runs layer.Forward per sample and layer.ForwardBatch on
-// the pack through independent contexts and compares sample for sample.
+// checkBatchMatches runs layer.ForwardBatch on the pack and on every sample
+// alone as an N=1 batch, through independent contexts, and compares sample
+// for sample bit for bit.
 func checkBatchMatches(t *testing.T, layer Layer, xs []*tensor.Tensor, batch *tensor.Tensor) {
 	t.Helper()
-	bctx := NewContext()
-	bout, err := layer.ForwardBatch(bctx, batch)
+	bout, err := layer.ForwardBatch(NewContext(), batch)
 	if err != nil {
 		t.Fatalf("%s: batched forward: %v", layer.Name(), err)
 	}
@@ -45,28 +49,20 @@ func checkBatchMatches(t *testing.T, layer Layer, xs []*tensor.Tensor, batch *te
 	}
 	ctx := NewContext()
 	for i, x := range xs {
-		want, err := layer.Forward(ctx, x)
+		want, err := forward1(ctx, layer, x)
 		if err != nil {
-			t.Fatalf("%s: per-sample forward %d: %v", layer.Name(), i, err)
+			t.Fatalf("%s: N=1 forward %d: %v", layer.Name(), i, err)
 		}
 		got, err := bout.Sample(i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		flatWant, err := want.Reshape(want.Len())
-		if err != nil {
-			t.Fatal(err)
+		if !got.SameShape(want) {
+			t.Fatalf("%s sample %d: shapes %v vs %v", layer.Name(), i, got.Shape(), want.Shape())
 		}
-		flatGot, err := got.Reshape(got.Len())
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := flatGot.MaxAbsDiff(flatWant)
-		if err != nil {
-			t.Fatalf("%s sample %d: shapes %v vs %v: %v", layer.Name(), i, got.Shape(), want.Shape(), err)
-		}
-		if d > batchTol {
-			t.Fatalf("%s sample %d: batched differs from per-sample by %g", layer.Name(), i, d)
+		if j := sameBits(got.Data(), want.Data()); j >= 0 {
+			t.Fatalf("%s sample %d (batch %d): element %d is %v in the batch, %v alone",
+				layer.Name(), i, len(xs), j, got.Data()[j], want.Data()[j])
 		}
 	}
 }
@@ -90,6 +86,23 @@ func TestForwardBatchConv2D(t *testing.T) {
 		for _, n := range batchSizes {
 			xs, batch := randBatch(t, rng, n, tc.inC, tc.size, tc.size)
 			checkBatchMatches(t, conv, xs, batch)
+			bout, err := conv.ForwardBatch(NewContext(), batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, x := range xs {
+				want, err := conv.ForwardNaive(x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := bout.Sample(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d, err := got.MaxAbsDiff(want); err != nil || d > batchTol {
+					t.Fatalf("%s batch %d sample %d: differs from naive by %g (%v)", conv.Name(), n, i, d, err)
+				}
+			}
 		}
 	}
 }
@@ -162,7 +175,7 @@ func TestForwardBatchDropoutInference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Inference contexts: identity, so batched trivially matches per-sample.
+	// Inference contexts: identity.
 	xs, batch := randBatch(t, rng, 5, 2, 3, 3)
 	checkBatchMatches(t, d, xs, batch)
 
@@ -191,8 +204,8 @@ func TestForwardBatchDropoutInference(t *testing.T) {
 	}
 }
 
-// TestForwardBatchSequentialMicro pins the whole micro-AlexNet chain:
-// batched pass == per-sample pass through every layer composition.
+// TestForwardBatchSequentialMicro pins the whole micro-AlexNet chain: a
+// sample's logits are the same bits alone and inside any batch.
 func TestForwardBatchSequentialMicro(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	net, err := NewMicroAlexNet(DefaultMicroConfig(), rng)
@@ -201,34 +214,14 @@ func TestForwardBatchSequentialMicro(t *testing.T) {
 	}
 	for _, n := range batchSizes {
 		xs, batch := randBatch(t, rng, n, 3, 32, 32)
-		bctx := NewContext()
-		bout, err := net.ForwardBatch(bctx, batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx := NewContext()
-		for i, x := range xs {
-			want, err := net.Forward(ctx, x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := bout.Sample(i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d, err := got.MaxAbsDiff(want)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d > batchTol {
-				t.Fatalf("batch %d sample %d: logits differ by %g", n, i, d)
-			}
-		}
+		checkBatchMatches(t, net, xs, batch)
 	}
 }
 
 // TestForwardBatchFromMatchesForwardFrom pins the mid-chain entry point the
-// hybrid network uses to continue micro-batches past the reliable prefix.
+// hybrid network uses to continue batches past the reliable prefix: a
+// stacked batch of conv1 feature maps continued with ForwardBatchFrom gives
+// every sample the same logits bits as continuing its feature map alone.
 func TestForwardBatchFromMatchesForwardFrom(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
 	net, err := NewMicroAlexNet(DefaultMicroConfig(), rng)
@@ -239,18 +232,7 @@ func TestForwardBatchFromMatchesForwardFrom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 5
-	xs, batch := randBatch(t, rng, n, 3, 32, 32)
-	ctx := NewContext()
-	// Feature maps after conv1, per sample and packed.
-	feats := make([]*tensor.Tensor, n)
-	for i, x := range xs {
-		f, err := conv1.Forward(ctx, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		feats[i] = f
-	}
+	_, batch := randBatch(t, rng, 5, 3, 32, 32)
 	fbatch, err := conv1.ForwardBatch(NewContext(), batch)
 	if err != nil {
 		t.Fatal(err)
@@ -259,8 +241,17 @@ func TestForwardBatchFromMatchesForwardFrom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range xs {
-		want, err := net.ForwardFrom(ctx, 1, feats[i])
+	ctx := NewContext()
+	for i := 0; i < fbatch.Dim(0); i++ {
+		f, err := fbatch.Sample(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f1, err := batchOf(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := net.ForwardBatchFrom(ctx, 1, f1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,18 +259,14 @@ func TestForwardBatchFromMatchesForwardFrom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := got.MaxAbsDiff(want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d > batchTol {
-			t.Fatalf("sample %d: ForwardBatchFrom differs by %g", i, d)
+		if j := sameBits(got.Data(), want.Data()); j >= 0 {
+			t.Fatalf("sample %d: ForwardBatchFrom differs from the N=1 continuation at %d", i, j)
 		}
 	}
 }
 
 // TestForwardBatchFullAlexNet runs the paper's full AlexNet (227×227, ~60M
-// params) batched vs per-sample. Expensive: skipped in -short runs.
+// params) stacked vs alone. Expensive: skipped in -short runs.
 func TestForwardBatchFullAlexNet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full AlexNet forward is expensive")
@@ -289,30 +276,8 @@ func TestForwardBatchFullAlexNet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 2
-	xs, batch := randBatch(t, rng, n, 3, AlexNetInputSize, AlexNetInputSize)
-	bout, err := net.ForwardBatch(NewContext(), batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := NewContext()
-	for i, x := range xs {
-		want, err := net.Forward(ctx, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := bout.Sample(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := got.MaxAbsDiff(want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d > batchTol {
-			t.Fatalf("alexnet sample %d: batched logits differ by %g", i, d)
-		}
-	}
+	xs, batch := randBatch(t, rng, 2, 3, AlexNetInputSize, AlexNetInputSize)
+	checkBatchMatches(t, net, xs, batch)
 }
 
 // TestForwardBatchScratchReuse pins the batch-sized context scratch: two
@@ -354,7 +319,7 @@ func TestForwardBatchShapeErrors(t *testing.T) {
 	}
 	ctx := NewContext()
 	if _, err := conv.ForwardBatch(ctx, tensor.MustNew(3, 8, 8)); err == nil {
-		t.Fatal("conv accepted rank-3 input on the batched path")
+		t.Fatal("conv accepted rank-3 input")
 	}
 	if _, err := conv.ForwardBatch(ctx, tensor.MustNew(2, 5, 8, 8)); err == nil {
 		t.Fatal("conv accepted wrong channel count")
@@ -363,7 +328,7 @@ func TestForwardBatchShapeErrors(t *testing.T) {
 		t.Fatal("conv accepted nil context")
 	}
 	if _, err := d.ForwardBatch(ctx, tensor.MustNew(10)); err == nil {
-		t.Fatal("dense accepted rank-1 input on the batched path")
+		t.Fatal("dense accepted rank-1 input")
 	}
 	net, err := NewMicroAlexNet(DefaultMicroConfig(), rng)
 	if err != nil {

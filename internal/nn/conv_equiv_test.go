@@ -9,8 +9,8 @@ import (
 
 // TestConvIm2colMatchesNaive is the golden-equivalence gate for the GEMM
 // convolution path: on randomized shapes, strides and paddings, the
-// im2col+GEMM Forward must agree with the retained direct-loop reference
-// within 1e-5.
+// im2col+GEMM ForwardBatch (one sample as an N=1 batch) must agree with
+// the direct-loop reference ForwardNaive within 1e-5.
 func TestConvIm2colMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	ctx := NewContext()
@@ -36,7 +36,7 @@ func TestConvIm2colMatchesNaive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := c.Forward(ctx, x)
+		got, err := forward1(ctx, c, x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func TestConvConcurrentSharedWeights(t *testing.T) {
 		go func() {
 			ctx := NewContext()
 			for i := 0; i < 20; i++ {
-				out, err := c.Forward(ctx, x)
+				out, err := forward1(ctx, c, x)
 				if err != nil {
 					errs <- err
 					return
@@ -110,7 +110,7 @@ func TestZeroValueContextUsable(t *testing.T) {
 	x := tensor.MustNew(1, 5, 5)
 	x.FillUniform(rng, -1, 1)
 	var ctx Context
-	got, err := c.Forward(&ctx, x)
+	got, err := forward1(&ctx, c, x)
 	if err != nil {
 		t.Fatal(err)
 	}

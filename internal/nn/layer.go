@@ -4,19 +4,19 @@
 // dropout), forward/backward passes, cross-entropy loss and weight
 // serialisation.
 //
-// Both directions are batch-native: ForwardBatch takes an NCHW (or N×K
-// flat) micro-batch and vectorises across it — convolution lowers all N
-// samples into ONE blocked GEMM per layer (tensor.Im2colBatch), dense
-// layers stream their weight matrix once per batch instead of once per
-// sample (tensor.Linear) — and, in training contexts, caches batch-sized
-// backward state that BackwardBatch consumes, so a whole mini-batch
-// trains with one GEMM per layer per direction (dW = dY·Xᵀ, dX = Wᵀ·dY,
-// tensor.Col2imBatch for the convolution scatter). The per-sample
-// Forward/Backward pair is the N=1 case of the same kernels. Layers hold
-// only immutable parameters — every per-call cache and scratch buffer
-// (including the batch-sized im2col and GEMM scratch) lives in the
-// Context threaded through the passes — so one network can serve any
-// number of concurrent passes, one Context per goroutine.
+// Batched is the only execution path: every layer consumes an NCHW (or N×K
+// flat) batch, and a single sample is an N=1 batch (a zero-copy reshape
+// view of the sample). ForwardBatch vectorises across the batch —
+// convolution lowers all N samples into ONE blocked GEMM per layer
+// (tensor.Im2colBatch), dense layers stream their weight matrix once per
+// batch (tensor.Linear) — and, in training contexts, caches the state
+// BackwardBatch consumes, so a whole mini-batch trains with one GEMM per
+// layer per direction (dW = dY·Xᵀ, dX = Wᵀ·dY, tensor.Col2imBatch for the
+// convolution scatter). No kernel's per-element arithmetic depends on N,
+// so a sample's outputs are bit-identical alone or inside any batch.
+// Layers hold only immutable parameters — every per-call cache and scratch
+// buffer lives in the Context threaded through the passes — so one network
+// can serve any number of concurrent passes, one Context per goroutine.
 package nn
 
 import (
@@ -27,21 +27,31 @@ import (
 )
 
 // Param is one learnable tensor with its gradient accumulator. Gradients are
-// accumulated (+=) by Backward and cleared by ZeroGrad.
+// accumulated (+=) by BackwardBatch and cleared by ZeroGrad. Layers build
+// their Params once, so Params() returns stable pointers.
 type Param struct {
 	Name  string
 	Value *tensor.Tensor
 	Grad  *tensor.Tensor
 }
 
+// newParam returns a zero-valued parameter with a zero gradient.
+func newParam(name string, shape ...int) (*Param, error) {
+	v, err := tensor.New(shape...)
+	if err != nil {
+		return nil, err
+	}
+	return &Param{Name: name, Value: v, Grad: tensor.MustNew(shape...)}, nil
+}
+
 // ZeroGrad clears the gradient accumulator.
 func (p *Param) ZeroGrad() { p.Grad.Zero() }
 
-// Layer is a differentiable module. Forward caches whatever Backward needs
-// in ctx; Backward consumes the gradient w.r.t. the layer's output and
-// returns the gradient w.r.t. its input, accumulating parameter gradients
-// (into the canonical Grad tensors, or the context's shadow buffers — see
-// Context.ShadowGrads) as a side effect.
+// Layer is a differentiable module over batches. ForwardBatch caches
+// whatever BackwardBatch needs in ctx; BackwardBatch consumes the gradient
+// w.r.t. the layer's output and returns the gradient w.r.t. its input,
+// accumulating parameter gradients (into the canonical Grad tensors, or the
+// context's shadow buffers — see Context.ShadowGrads) as a side effect.
 //
 // Layers ARE safe for concurrent shared-weight use: all mutable per-call
 // state lives in the Context, so goroutines running the same layer must
@@ -49,29 +59,16 @@ func (p *Param) ZeroGrad() { p.Grad.Zero() }
 type Layer interface {
 	// Name identifies the layer in summaries and serialised models.
 	Name() string
-	// Forward computes the layer output for one CHW (or flat) sample,
-	// caching backward state in ctx.
-	Forward(ctx *Context, x *tensor.Tensor) (*tensor.Tensor, error)
 	// ForwardBatch computes the layer output for an NCHW (or N×K flat)
-	// micro-batch, one output sample per input sample, vectorised across
-	// the batch (convolution runs ONE GEMM for all N samples). In
-	// inference contexts it caches no backward state; in training
-	// contexts (ctx.Training()) it additionally caches the batch-sized
-	// state BackwardBatch consumes, in fields separate from the
-	// per-sample cache so the two pass styles never clobber each other.
-	// Batch-sized scratch lives in ctx and is reused across calls.
+	// batch, one output sample per input sample. In inference contexts it
+	// caches no backward state; in training contexts (ctx.Training()) it
+	// caches the state BackwardBatch consumes. Batch-sized scratch lives
+	// in ctx and is reused across calls.
 	ForwardBatch(ctx *Context, x *tensor.Tensor) (*tensor.Tensor, error)
-	// Backward computes the input gradient from the output gradient. It
-	// must be called on the same Context after Forward, with a gradient
-	// matching the output shape.
-	Backward(ctx *Context, grad *tensor.Tensor) (*tensor.Tensor, error)
 	// BackwardBatch computes the batch input gradient from the batch
-	// output gradient, vectorised like ForwardBatch (one GEMM per
-	// parameterised layer for all N samples). It must be called on the
-	// same Context after a training-mode ForwardBatch, with a gradient
-	// matching the batch output shape; parameter gradients accumulate
-	// exactly as in Backward (canonical Grad tensors or the context's
-	// shadow buffers).
+	// output gradient. It must be called on the same Context after a
+	// training-mode ForwardBatch, with a gradient matching the output
+	// shape.
 	BackwardBatch(ctx *Context, grad *tensor.Tensor) (*tensor.Tensor, error)
 	// Params returns the layer's learnable parameters (possibly empty).
 	Params() []*Param
@@ -114,50 +111,25 @@ func (s *Sequential) Layer(i int) (Layer, error) {
 // Len returns the number of layers.
 func (s *Sequential) Len() int { return len(s.layers) }
 
-// Forward runs the full chain through ctx.
-func (s *Sequential) Forward(ctx *Context, x *tensor.Tensor) (*tensor.Tensor, error) {
-	return s.ForwardFrom(ctx, 0, x)
-}
-
-// ForwardFrom runs the chain starting at layer index from (inclusive). It is
-// the hybrid network's entry point for continuing a classification from the
-// reliably computed DCNN output.
-func (s *Sequential) ForwardFrom(ctx *Context, from int, x *tensor.Tensor) (*tensor.Tensor, error) {
-	if ctx == nil {
-		return nil, fmt.Errorf("nn: forward needs a context")
-	}
-	if from < 0 || from > len(s.layers) {
-		return nil, fmt.Errorf("nn: forward-from index %d out of range [0,%d]", from, len(s.layers))
-	}
-	var err error
-	for i := from; i < len(s.layers); i++ {
-		x, err = s.layers[i].Forward(ctx, x)
-		if err != nil {
-			return nil, fmt.Errorf("nn: forward layer %d (%s): %w", i, s.layers[i].Name(), err)
-		}
-	}
-	return x, nil
-}
-
-// ForwardBatch runs the full chain over an NCHW micro-batch through ctx:
-// one batched pass, one GEMM per convolution/dense layer for all N samples.
+// ForwardBatch runs the full chain over an NCHW batch through ctx: one GEMM
+// per convolution/dense layer for all N samples.
 func (s *Sequential) ForwardBatch(ctx *Context, x *tensor.Tensor) (*tensor.Tensor, error) {
 	return s.ForwardBatchFrom(ctx, 0, x)
 }
 
-// ForwardBatchFrom runs the batched chain starting at layer index from
-// (inclusive) — the hybrid network's entry point for continuing a
-// micro-batch of classifications from the reliably computed DCNN outputs.
+// ForwardBatchFrom runs the chain starting at layer index from (inclusive) —
+// the hybrid network's entry point for continuing a batch of
+// classifications from the reliably computed DCNN outputs.
 func (s *Sequential) ForwardBatchFrom(ctx *Context, from int, x *tensor.Tensor) (*tensor.Tensor, error) {
 	return s.ForwardBatchRange(ctx, from, len(s.layers), x)
 }
 
-// ForwardBatchRange runs the batched chain over layers [from, to) — the
+// ForwardBatchRange runs the chain over layers [from, to) — the
 // half-open prefix a fast-pipeline image runs non-reliably so it can
 // coalesce with reliably computed feature maps at layer to.
 func (s *Sequential) ForwardBatchRange(ctx *Context, from, to int, x *tensor.Tensor) (*tensor.Tensor, error) {
 	if ctx == nil {
-		return nil, fmt.Errorf("nn: batched forward needs a context")
+		return nil, fmt.Errorf("nn: forward needs a context")
 	}
 	if from < 0 || from > len(s.layers) {
 		return nil, fmt.Errorf("nn: forward-from index %d out of range [0,%d]", from, len(s.layers))
@@ -169,40 +141,24 @@ func (s *Sequential) ForwardBatchRange(ctx *Context, from, to int, x *tensor.Ten
 	for i := from; i < to; i++ {
 		x, err = s.layers[i].ForwardBatch(ctx, x)
 		if err != nil {
-			return nil, fmt.Errorf("nn: batched forward layer %d (%s): %w", i, s.layers[i].Name(), err)
+			return nil, fmt.Errorf("nn: forward layer %d (%s): %w", i, s.layers[i].Name(), err)
 		}
 	}
 	return x, nil
 }
 
-// Backward propagates the output gradient through the chain in reverse,
-// using the caches Forward left in ctx.
-func (s *Sequential) Backward(ctx *Context, grad *tensor.Tensor) (*tensor.Tensor, error) {
+// BackwardBatch propagates the batch output gradient through the chain in
+// reverse, using the caches a training-mode ForwardBatch left in ctx — one
+// GEMM per parameterised layer for the whole mini-batch.
+func (s *Sequential) BackwardBatch(ctx *Context, grad *tensor.Tensor) (*tensor.Tensor, error) {
 	if ctx == nil {
 		return nil, fmt.Errorf("nn: backward needs a context")
 	}
 	var err error
 	for i := len(s.layers) - 1; i >= 0; i-- {
-		grad, err = s.layers[i].Backward(ctx, grad)
-		if err != nil {
-			return nil, fmt.Errorf("nn: backward layer %d (%s): %w", i, s.layers[i].Name(), err)
-		}
-	}
-	return grad, nil
-}
-
-// BackwardBatch propagates the batch output gradient through the chain in
-// reverse, using the batch caches a training-mode ForwardBatch left in ctx —
-// one GEMM per parameterised layer for the whole mini-batch.
-func (s *Sequential) BackwardBatch(ctx *Context, grad *tensor.Tensor) (*tensor.Tensor, error) {
-	if ctx == nil {
-		return nil, fmt.Errorf("nn: batched backward needs a context")
-	}
-	var err error
-	for i := len(s.layers) - 1; i >= 0; i-- {
 		grad, err = s.layers[i].BackwardBatch(ctx, grad)
 		if err != nil {
-			return nil, fmt.Errorf("nn: batched backward layer %d (%s): %w", i, s.layers[i].Name(), err)
+			return nil, fmt.Errorf("nn: backward layer %d (%s): %w", i, s.layers[i].Name(), err)
 		}
 	}
 	return grad, nil

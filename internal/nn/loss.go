@@ -20,39 +20,11 @@ func Softmax(logits *tensor.Tensor) ([]float32, error) {
 	return probs, nil
 }
 
-// CrossEntropyLoss computes softmax cross-entropy for one sample and the
-// gradient w.r.t. the logits (p − onehot), the combined form that avoids the
-// numerically fragile separate softmax backward.
-func CrossEntropyLoss(logits *tensor.Tensor, label int) (loss float64, grad *tensor.Tensor, err error) {
-	if logits.Rank() != 1 {
-		return 0, nil, fmt.Errorf("nn: loss wants flat logits, got %v", logits.Shape())
-	}
-	n := logits.Len()
-	if label < 0 || label >= n {
-		return 0, nil, fmt.Errorf("nn: label %d out of range [0,%d)", label, n)
-	}
-	probs := make([]float32, n)
-	if err := mathx.Softmax(probs, logits.Data()); err != nil {
-		return 0, nil, fmt.Errorf("nn: loss softmax: %w", err)
-	}
-	p := float64(probs[label])
-	if p < 1e-30 {
-		p = 1e-30
-	}
-	loss = -math.Log(p)
-	grad = tensor.MustNew(n)
-	g := grad.Data()
-	copy(g, probs)
-	g[label] -= 1
-	return loss, grad, nil
-}
-
 // CrossEntropyLossBatch computes softmax cross-entropy for an (N, K) logits
-// batch and the (N, K) gradient w.r.t. the logits. Row i of the gradient is
-// exactly CrossEntropyLoss(logits[i], labels[i])'s gradient, and the
-// returned loss is the SUM of the per-sample losses (the caller owns the
-// 1/N averaging, matching how the trainer folds per-sample losses today) —
-// so the batched loss is golden-equivalent to N per-sample calls.
+// batch and the (N, K) gradient w.r.t. the logits, p − onehot per row (the
+// combined form that avoids the numerically fragile separate softmax
+// backward). Rows are independent, and the returned loss is the SUM of the
+// per-row losses (the caller owns the 1/N averaging).
 func CrossEntropyLossBatch(logits *tensor.Tensor, labels []int) (loss float64, grad *tensor.Tensor, err error) {
 	if logits.Rank() != 2 {
 		return 0, nil, fmt.Errorf("nn: batch loss wants (N,K) logits, got %v", logits.Shape())
@@ -84,10 +56,9 @@ func CrossEntropyLossBatch(logits *tensor.Tensor, labels []int) (loss float64, g
 
 // SoftmaxArgmax returns the softmax distribution over a flat logits tensor
 // and its argmax class (ties resolve to the lowest index). It is THE
-// logits-to-verdict tail shared by every prediction path — per-sample
-// (PredictCtx), batched (infer.PredictBatched rows) and hybrid
-// (core's result finishing) — so the batched-equals-per-sample
-// equivalence guarantee cannot drift between copies.
+// logits-to-verdict tail shared by every prediction path — infer.Predict
+// rows and core's result finishing — so verdicts cannot drift between
+// copies.
 func SoftmaxArgmax(logits *tensor.Tensor) (probs []float32, class int, err error) {
 	probs, err = Softmax(logits)
 	if err != nil {
@@ -99,22 +70,4 @@ func SoftmaxArgmax(logits *tensor.Tensor) (probs []float32, class int, err error
 		}
 	}
 	return probs, class, nil
-}
-
-// Predict runs an inference forward pass through a fresh context and
-// returns the class probabilities and the argmax class. For repeated or
-// concurrent prediction, allocate a Context per goroutine and use
-// PredictCtx so scratch buffers are reused.
-func Predict(net *Sequential, x *tensor.Tensor) (probs []float32, class int, err error) {
-	return PredictCtx(NewContext(), net, x)
-}
-
-// PredictCtx runs a forward pass through ctx and returns the class
-// probabilities and the argmax class.
-func PredictCtx(ctx *Context, net *Sequential, x *tensor.Tensor) (probs []float32, class int, err error) {
-	logits, err := net.Forward(ctx, x)
-	if err != nil {
-		return nil, 0, fmt.Errorf("nn: predict forward: %w", err)
-	}
-	return SoftmaxArgmax(logits)
 }

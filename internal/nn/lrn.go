@@ -20,14 +20,10 @@ type LRN struct {
 	beta  float64
 }
 
-// lrnState is the per-context forward cache; the b-prefixed fields are the
-// batch cache of a training-mode ForwardBatch.
+// lrnState is the per-context forward cache (training contexts only).
 type lrnState struct {
 	lastIn *tensor.Tensor
-	denom  []float64 // cached k + (α/n)Σx² per element
-
-	bLastIn *tensor.Tensor // batch forward cache (training contexts only)
-	bdenom  []float64      // batch-wide denominator cache
+	denom  []float64 // k + (α/n)Σx² per element
 }
 
 var _ Layer = (*LRN)(nil)
@@ -60,30 +56,9 @@ func (l *LRN) Name() string { return l.name }
 // Params implements Layer.
 func (l *LRN) Params() []*Param { return nil }
 
-// Forward implements Layer.
-func (l *LRN) Forward(ctx *Context, x *tensor.Tensor) (*tensor.Tensor, error) {
-	if ctx == nil {
-		return nil, fmt.Errorf("nn: lrn %q forward needs a context", l.name)
-	}
-	if x.Rank() != 3 {
-		return nil, fmt.Errorf("nn: lrn %q wants CHW input, got %v", l.name, x.Shape())
-	}
-	c, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
-	st := ctx.state(l, func() any { return &lrnState{} }).(*lrnState)
-	st.lastIn = x
-	out := tensor.MustNew(c, h, w)
-	if cap(st.denom) >= c*h*w {
-		st.denom = st.denom[:c*h*w]
-	} else {
-		st.denom = make([]float64, c*h*w)
-	}
-	l.normalize(x.Data(), out.Data(), c, h*w, st.denom)
-	return out, nil
-}
-
 // normalize applies the LRN kernel to one CHW sample (c channels of hw
 // elements). When denom is non-nil it receives the per-element
-// k + (α/n)Σx² cache Backward consumes; the batched path passes nil.
+// k + (α/n)Σx² cache BackwardBatch consumes.
 func (l *LRN) normalize(in, od []float32, c, hw int, denom []float64) {
 	half := l.n / 2
 	for pos := 0; pos < hw; pos++ {
@@ -112,67 +87,40 @@ func (l *LRN) normalize(in, od []float32, c, hw int, denom []float64) {
 }
 
 // ForwardBatch implements Layer over an NCHW batch: normalisation windows
-// span channels within a sample, so the batched pass applies the per-sample
-// kernel to each of the N packed samples. In training contexts the input and
-// the batch-wide denominator cache are kept for BackwardBatch; inference
-// contexts cache nothing.
+// span channels within a sample, so the kernel runs over each of the N
+// packed samples. In training contexts the input and the denominator cache
+// are kept for BackwardBatch; inference contexts cache nothing.
 func (l *LRN) ForwardBatch(ctx *Context, x *tensor.Tensor) (*tensor.Tensor, error) {
 	if ctx == nil {
-		return nil, fmt.Errorf("nn: lrn %q batched forward needs a context", l.name)
+		return nil, fmt.Errorf("nn: lrn %q forward needs a context", l.name)
 	}
 	if x.Rank() != 4 {
 		return nil, fmt.Errorf("nn: lrn %q wants NCHW batch, got %v", l.name, x.Shape())
 	}
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	st := ctx.state(l, func() any { return &lrnState{} }).(*lrnState)
+	st.lastIn = nil
 	if ctx.Training() {
-		st.bLastIn = x
-		if cap(st.bdenom) >= n*c*h*w {
-			st.bdenom = st.bdenom[:n*c*h*w]
-		} else {
-			st.bdenom = make([]float64, n*c*h*w)
-		}
-	} else {
-		st.bLastIn = nil
+		st.lastIn = x
+		st.denom = tensor.GrowSlice(st.denom, n*c*h*w)
 	}
 	out := tensor.MustNew(n, c, h, w)
 	in, od := x.Data(), out.Data()
 	chw := c * h * w
 	for s := 0; s < n; s++ {
 		var denom []float64
-		if st.bLastIn != nil {
-			denom = st.bdenom[s*chw : (s+1)*chw]
+		if st.lastIn != nil {
+			denom = st.denom[s*chw : (s+1)*chw]
 		}
 		l.normalize(in[s*chw:(s+1)*chw], od[s*chw:(s+1)*chw], c, h*w, denom)
 	}
 	return out, nil
 }
 
-// Backward implements Layer, with the exact derivative:
+// backwardSample applies the exact LRN derivative to one CHW sample (c
+// channels of hw elements) given its forward denominator cache:
 //
 //	dx_m = g_m·denom_m^{-β} − (2αβ/n)·x_m·Σ_{i: m∈window(i)} g_i·x_i·denom_i^{-β-1}
-func (l *LRN) Backward(ctx *Context, grad *tensor.Tensor) (*tensor.Tensor, error) {
-	if ctx == nil {
-		return nil, fmt.Errorf("nn: lrn %q backward needs a context", l.name)
-	}
-	st, ok := ctx.states[l].(*lrnState)
-	if !ok || st.lastIn == nil {
-		return nil, fmt.Errorf("nn: lrn %q backward before forward", l.name)
-	}
-	if !grad.SameShape(st.lastIn) {
-		return nil, fmt.Errorf("nn: lrn %q gradient shape %v != input %v",
-			l.name, grad.Shape(), st.lastIn.Shape())
-	}
-	c, h, w := st.lastIn.Dim(0), st.lastIn.Dim(1), st.lastIn.Dim(2)
-	dx := tensor.MustNew(c, h, w)
-	l.backwardSample(st.lastIn.Data(), grad.Data(), dx.Data(), st.denom, c, h*w)
-	return dx, nil
-}
-
-// backwardSample applies the LRN derivative to one CHW sample (c channels of
-// hw elements) given its forward denominator cache — the kernel shared by
-// the per-sample and batched backward passes, so the derivative cannot
-// drift between them.
 func (l *LRN) backwardSample(in, g, dxd []float32, denom []float64, c, hw int) {
 	half := l.n / 2
 	scale := 2 * l.alpha * l.beta / float64(l.n)
@@ -204,28 +152,28 @@ func (l *LRN) backwardSample(in, g, dxd []float32, denom []float64, c, hw int) {
 	}
 }
 
-// BackwardBatch implements Layer: windows never cross samples, so the batch
-// derivative is the per-sample kernel over each packed sample with its slice
-// of the batch-wide denominator cache.
+// BackwardBatch implements Layer: windows never cross samples, so the
+// derivative runs over each packed sample with its slice of the
+// denominator cache.
 func (l *LRN) BackwardBatch(ctx *Context, grad *tensor.Tensor) (*tensor.Tensor, error) {
 	if ctx == nil {
-		return nil, fmt.Errorf("nn: lrn %q batched backward needs a context", l.name)
+		return nil, fmt.Errorf("nn: lrn %q backward needs a context", l.name)
 	}
 	st, ok := ctx.states[l].(*lrnState)
-	if !ok || st.bLastIn == nil {
-		return nil, fmt.Errorf("nn: lrn %q batched backward before training-mode batched forward", l.name)
+	if !ok || st.lastIn == nil {
+		return nil, fmt.Errorf("nn: lrn %q backward before training-mode forward", l.name)
 	}
-	if !grad.SameShape(st.bLastIn) {
-		return nil, fmt.Errorf("nn: lrn %q batch gradient shape %v != input %v",
-			l.name, grad.Shape(), st.bLastIn.Shape())
+	if !grad.SameShape(st.lastIn) {
+		return nil, fmt.Errorf("nn: lrn %q gradient shape %v != input %v",
+			l.name, grad.Shape(), st.lastIn.Shape())
 	}
-	n, c, h, w := st.bLastIn.Dim(0), st.bLastIn.Dim(1), st.bLastIn.Dim(2), st.bLastIn.Dim(3)
+	n, c, h, w := st.lastIn.Dim(0), st.lastIn.Dim(1), st.lastIn.Dim(2), st.lastIn.Dim(3)
 	dx := tensor.MustNew(n, c, h, w)
-	in, g, dxd := st.bLastIn.Data(), grad.Data(), dx.Data()
+	in, g, dxd := st.lastIn.Data(), grad.Data(), dx.Data()
 	chw := c * h * w
 	for s := 0; s < n; s++ {
 		l.backwardSample(in[s*chw:(s+1)*chw], g[s*chw:(s+1)*chw], dxd[s*chw:(s+1)*chw],
-			st.bdenom[s*chw:(s+1)*chw], c, h*w)
+			st.denom[s*chw:(s+1)*chw], c, h*w)
 	}
 	return dx, nil
 }

@@ -194,8 +194,8 @@ func TestMetricsQuantileMatchesStats(t *testing.T) {
 // instantBackend returns zero results immediately.
 type instantBackend struct{}
 
-func (instantBackend) ClassifyBatch(imgs []*tensor.Tensor) ([]core.Result, error) {
-	return make([]core.Result, len(imgs)), nil
+func (instantBackend) ClassifyBatch(imgs []*tensor.Tensor, _ []core.Pipeline) ([]core.Result, core.StageTimes, error) {
+	return make([]core.Result, len(imgs)), core.StageTimes{}, nil
 }
 
 // TestConcurrentObserveScrape runs live traffic through a scheduler while

@@ -76,14 +76,13 @@ func TestExportImportRoundTrip(t *testing.T) {
 
 	// Weight fidelity: identical outputs on identical inputs.
 	rng := rand.New(rand.NewSource(7))
-	x := tensor.MustNew(3, 16, 16)
+	x := tensor.MustNew(1, 3, 16, 16)
 	x.FillUniform(rng, 0, 1)
-	nctx := nn.NewContext()
-	a, err := net.Forward(nctx, x)
+	a, err := net.ForwardBatch(nn.NewContext(), x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := net2.Forward(nn.NewContext(), x)
+	b, err := net2.ForwardBatch(nn.NewContext(), x)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 // Package serve is the asynchronous serving front-end over the pooled
 // inference stack: many goroutines submit single images, a Scheduler
 // coalesces them into micro-batches and flushes each batch to a shared
-// backend (core.BatchClassifier in production, anything implementing
-// Backend in tests).
+// backend (core.BatchClassifier in production, any other Backend in
+// tests).
 //
 // Every request carries a service Class (guaranteed | fast | budget) that
 // selects its queue, its execution pipeline and its overload behaviour.
@@ -12,7 +12,7 @@
 // the non-empty classes (default weights 16:4:1), so a budget backlog can
 // never starve guaranteed traffic. Mixed-class batches still reach the
 // backend as ONE batch — the per-request pipeline split happens inside the
-// backend (see PipelinedBackend), not by fragmenting the batch.
+// backend (see Backend), not by fragmenting the batch.
 //
 // The flush policy is the classic latency/occupancy trade: a batch is
 // flushed as soon as it reaches MaxBatch images OR the oldest pulled image
@@ -61,32 +61,17 @@ import (
 	"repro/internal/tensor"
 )
 
-// Backend consumes the micro-batches the Scheduler forms. Implementations
-// must return one result per image, in input order. The Scheduler issues
-// calls from a single flusher goroutine, so implementations need not be
-// safe for concurrent use (core.BatchClassifier is anyway).
+// Backend consumes the micro-batches the Scheduler forms: one call per
+// batch, pipes[i] selecting the execution pipeline of image i
+// (core.PipelineFull for guaranteed and non-degraded budget riders,
+// core.PipelineCNN for fast and degraded riders) while the whole mixed
+// batch still coalesces into one GEMM per layer. Implementations must
+// return one result per image, in input order, plus the batch's per-stage
+// wall-time breakdown (zero when they do not measure it). The Scheduler
+// issues calls from a single flusher goroutine, so implementations need not
+// be safe for concurrent use (core.BatchClassifier is anyway).
 type Backend interface {
-	ClassifyBatch(imgs []*tensor.Tensor) ([]core.Result, error)
-}
-
-// TimedBackend is the optional richer contract: a backend that also
-// reports the batch's per-stage wall-time breakdown. The Scheduler uses it
-// when available (core.BatchClassifier implements it), so per-stage
-// observability costs nothing to backends that don't care.
-type TimedBackend interface {
-	Backend
-	ClassifyBatchTimed(imgs []*tensor.Tensor) ([]core.Result, core.StageTimes, error)
-}
-
-// PipelinedBackend is the per-request pipeline contract: pipes[i] selects
-// which execution pipeline image i runs (core.PipelineFull for guaranteed
-// and non-degraded budget riders, core.PipelineCNN for fast and degraded
-// riders) while the whole mixed batch still coalesces into one GEMM per
-// layer. Backends that don't implement it run every rider through the full
-// pipeline — correct, just without the fast path.
-type PipelinedBackend interface {
-	Backend
-	ClassifyBatchPipelined(imgs []*tensor.Tensor, pipes []core.Pipeline) ([]core.Result, core.StageTimes, error)
+	ClassifyBatch(imgs []*tensor.Tensor, pipes []core.Pipeline) ([]core.Result, core.StageTimes, error)
 }
 
 // Timing is the per-request stage-timestamp breakdown SubmitTraced
@@ -110,10 +95,9 @@ type Timing struct {
 	// Degraded reports that this was a budget request re-admitted into the
 	// fast (CNN-only) pipeline because the budget queue was full.
 	Degraded bool
-	// Stages is the batch-level backend pipeline breakdown (zero unless
-	// the backend implements TimedBackend). Batch-level: shared by every
-	// rider of the batch, and summed per-worker wall time under a parallel
-	// pool.
+	// Stages is the batch-level backend pipeline breakdown. Batch-level:
+	// shared by every rider of the batch, and summed per-worker wall time
+	// under a parallel pool.
 	Stages core.StageTimes
 }
 
@@ -604,29 +588,12 @@ func (s *Scheduler) flush(batch []*request) {
 		return
 	}
 	imgs := make([]*tensor.Tensor, len(live))
-	mixed := false
+	pipes := make([]core.Pipeline, len(live))
 	for i, r := range live {
-		imgs[i] = r.img
-		if r.pipeline() != core.PipelineFull {
-			mixed = true
-		}
+		imgs[i], pipes[i] = r.img, r.pipeline()
 	}
 	start := time.Now()
-	var results []core.Result
-	var stages core.StageTimes
-	var pipes []core.Pipeline
-	var err error
-	if pb, ok := s.backend.(PipelinedBackend); ok && mixed {
-		pipes = make([]core.Pipeline, len(live))
-		for i, r := range live {
-			pipes[i] = r.pipeline()
-		}
-		results, stages, err = pb.ClassifyBatchPipelined(imgs, pipes)
-	} else if tb, ok := s.backend.(TimedBackend); ok {
-		results, stages, err = tb.ClassifyBatchTimed(imgs)
-	} else {
-		results, err = s.backend.ClassifyBatch(imgs)
-	}
+	results, stages, err := s.backend.ClassifyBatch(imgs, pipes)
 	if err == nil && len(results) != len(imgs) {
 		err = fmt.Errorf("serve: backend returned %d results for %d images", len(results), len(imgs))
 	}
@@ -639,7 +606,7 @@ func (s *Scheduler) flush(batch []*request) {
 	var fullRiders, allRiders [NumClasses]int
 	for i, r := range live {
 		allRiders[r.class]++
-		if pipes == nil || pipes[i] == core.PipelineFull {
+		if pipes[i] == core.PipelineFull {
 			fullRiders[r.class]++
 		}
 	}

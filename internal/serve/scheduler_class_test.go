@@ -36,39 +36,14 @@ func (b *seqBackend) img(id int) *tensor.Tensor {
 	return t
 }
 
-func (b *seqBackend) ClassifyBatch(imgs []*tensor.Tensor) ([]core.Result, error) {
+func (b *seqBackend) ClassifyBatch(imgs []*tensor.Tensor, _ []core.Pipeline) ([]core.Result, core.StageTimes, error) {
 	b.entered <- b.ids[imgs[0]]
 	<-b.release
 	results := make([]core.Result, len(imgs))
 	for i, img := range imgs {
 		results[i] = core.Result{Class: b.ids[img]}
 	}
-	return results, nil
-}
-
-// pipeRecordingBackend exposes the pipelined entry point and records the
-// pipeline vector of every mixed batch, so tests can assert which pipeline
-// each rider was dispatched under.
-type pipeRecordingBackend struct {
-	*fakeBackend
-	mu    sync.Mutex
-	pipes [][]core.Pipeline
-}
-
-func (p *pipeRecordingBackend) ClassifyBatchPipelined(imgs []*tensor.Tensor, pipes []core.Pipeline) ([]core.Result, core.StageTimes, error) {
-	p.mu.Lock()
-	p.pipes = append(p.pipes, append([]core.Pipeline(nil), pipes...))
-	p.mu.Unlock()
-	results, err := p.fakeBackend.ClassifyBatch(imgs)
-	return results, core.StageTimes{}, err
-}
-
-func (p *pipeRecordingBackend) recorded() [][]core.Pipeline {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([][]core.Pipeline, len(p.pipes))
-	copy(out, p.pipes)
-	return out
+	return results, core.StageTimes{}, nil
 }
 
 // stageBackend answers like fakeBackend but reports a fixed per-batch stage
@@ -79,12 +54,7 @@ type stageBackend struct {
 	stages core.StageTimes
 }
 
-func (b *stageBackend) ClassifyBatchTimed(imgs []*tensor.Tensor) ([]core.Result, core.StageTimes, error) {
-	results, err := b.fakeBackend.ClassifyBatch(imgs)
-	return results, b.stages, err
-}
-
-func (b *stageBackend) ClassifyBatchPipelined(imgs []*tensor.Tensor, pipes []core.Pipeline) ([]core.Result, core.StageTimes, error) {
+func (b *stageBackend) ClassifyBatch(imgs []*tensor.Tensor, pipes []core.Pipeline) ([]core.Result, core.StageTimes, error) {
 	st := b.stages
 	full := false
 	for _, p := range pipes {
@@ -95,7 +65,7 @@ func (b *stageBackend) ClassifyBatchPipelined(imgs []*tensor.Tensor, pipes []cor
 	if !full {
 		st.Reliable, st.Qualifier = 0, 0
 	}
-	results, err := b.fakeBackend.ClassifyBatch(imgs)
+	results, _, err := b.fakeBackend.ClassifyBatch(imgs, pipes)
 	return results, st, err
 }
 
@@ -172,7 +142,7 @@ func TestSchedulerDeadlineOrderWithinClass(t *testing.T) {
 // (CNN-only pipeline, counted exactly once); both queues full → ErrQueueFull.
 func TestSchedulerBudgetDegradesIntoFast(t *testing.T) {
 	gate := make(chan struct{})
-	backend := &pipeRecordingBackend{fakeBackend: newFakeBackend(gate)}
+	backend := newFakeBackend(gate)
 	s, err := New(backend, Config{
 		MaxBatch:    4,
 		QueueSize:   8,
@@ -244,15 +214,16 @@ func TestSchedulerBudgetDegradesIntoFast(t *testing.T) {
 	if tm := degradedTiming; !tm.Degraded || tm.Class != ClassBudget {
 		t.Errorf("degraded timing = class %v degraded %v, want budget/true", tm.Class, tm.Degraded)
 	}
-	// The batch behind the plug was mixed (budget full rider + two degraded
-	// CNN riders), so it must have gone through the pipelined entry point
-	// with exactly one PipelineFull and two PipelineCNN.
-	recorded := backend.recorded()
-	if len(recorded) != 1 {
-		t.Fatalf("pipelined batches %d, want 1 (plug batch is unmixed)", len(recorded))
+	// The plug batch ran one full rider; the batch behind it was mixed
+	// (budget full rider + two degraded CNN riders) and must reach the
+	// backend as one batch with exactly one PipelineFull and two
+	// PipelineCNN.
+	recorded := backend.recordedPipes()
+	if len(recorded) != 2 || len(recorded[0]) != 1 || recorded[0][0] != core.PipelineFull {
+		t.Fatalf("batch pipes %v, want the full plug then the mixed batch", recorded)
 	}
 	var nFull, nCNN int
-	for _, p := range recorded[0] {
+	for _, p := range recorded[1] {
 		switch p {
 		case core.PipelineFull:
 			nFull++
@@ -261,7 +232,7 @@ func TestSchedulerBudgetDegradesIntoFast(t *testing.T) {
 		}
 	}
 	if nFull != 1 || nCNN != 2 {
-		t.Errorf("mixed batch pipes %v, want 1 full + 2 cnn", recorded[0])
+		t.Errorf("mixed batch pipes %v, want 1 full + 2 cnn", recorded[1])
 	}
 
 	final := s.Stats()

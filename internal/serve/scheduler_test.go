@@ -27,6 +27,7 @@ type fakeBackend struct {
 
 	mu      sync.Mutex
 	batches [][]*tensor.Tensor
+	pipes   [][]core.Pipeline
 }
 
 func newFakeBackend(gate chan struct{}) *fakeBackend {
@@ -39,18 +40,27 @@ func (f *fakeBackend) img(id int) *tensor.Tensor {
 	return t
 }
 
-func (f *fakeBackend) ClassifyBatch(imgs []*tensor.Tensor) ([]core.Result, error) {
+func (f *fakeBackend) ClassifyBatch(imgs []*tensor.Tensor, pipes []core.Pipeline) ([]core.Result, core.StageTimes, error) {
 	if f.gate != nil {
 		<-f.gate
 	}
 	f.mu.Lock()
 	f.batches = append(f.batches, append([]*tensor.Tensor(nil), imgs...))
+	f.pipes = append(f.pipes, append([]core.Pipeline(nil), pipes...))
 	f.mu.Unlock()
 	results := make([]core.Result, len(imgs))
 	for i, img := range imgs {
 		results[i] = core.Result{Class: f.ids[img]}
 	}
-	return results, nil
+	return results, core.StageTimes{}, nil
+}
+
+// recordedPipes returns the pipeline vector of every batch, in dispatch
+// order.
+func (f *fakeBackend) recordedPipes() [][]core.Pipeline {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([][]core.Pipeline(nil), f.pipes...)
 }
 
 func (f *fakeBackend) batchSizes() []int {
@@ -581,18 +591,18 @@ type blockingBackend struct {
 	release chan struct{}
 }
 
-func (b *blockingBackend) ClassifyBatch(imgs []*tensor.Tensor) ([]core.Result, error) {
+func (b *blockingBackend) ClassifyBatch(imgs []*tensor.Tensor, pipes []core.Pipeline) ([]core.Result, core.StageTimes, error) {
 	b.entered <- len(imgs)
 	<-b.release
-	return make([]core.Result, len(imgs)), nil
+	return make([]core.Result, len(imgs)), core.StageTimes{}, nil
 }
 
 // slowBackend spends a fixed delay per batch so in-flight expiry is common.
 type slowBackend struct{ delay time.Duration }
 
-func (b *slowBackend) ClassifyBatch(imgs []*tensor.Tensor) ([]core.Result, error) {
+func (b *slowBackend) ClassifyBatch(imgs []*tensor.Tensor, pipes []core.Pipeline) ([]core.Result, core.StageTimes, error) {
 	time.Sleep(b.delay)
-	return make([]core.Result, len(imgs)), nil
+	return make([]core.Result, len(imgs)), core.StageTimes{}, nil
 }
 
 // holdingBackend delegates after a one-time hold, counting invocations.
@@ -602,10 +612,10 @@ type holdingBackend struct {
 	calls atomic.Int64
 }
 
-func (b *holdingBackend) ClassifyBatch(imgs []*tensor.Tensor) ([]core.Result, error) {
+func (b *holdingBackend) ClassifyBatch(imgs []*tensor.Tensor, pipes []core.Pipeline) ([]core.Result, core.StageTimes, error) {
 	<-b.hold
 	b.calls.Add(1)
-	return b.inner.ClassifyBatch(imgs)
+	return b.inner.ClassifyBatch(imgs, pipes)
 }
 
 // flakyBackend fails the first failFirst calls, then delegates.
@@ -616,7 +626,7 @@ type flakyBackend struct {
 	failFirst int
 }
 
-func (b *flakyBackend) ClassifyBatch(imgs []*tensor.Tensor) ([]core.Result, error) {
+func (b *flakyBackend) ClassifyBatch(imgs []*tensor.Tensor, pipes []core.Pipeline) ([]core.Result, core.StageTimes, error) {
 	b.mu.Lock()
 	fail := b.failFirst > 0
 	if fail {
@@ -624,7 +634,7 @@ func (b *flakyBackend) ClassifyBatch(imgs []*tensor.Tensor) ([]core.Result, erro
 	}
 	b.mu.Unlock()
 	if fail {
-		return nil, b.err
+		return nil, core.StageTimes{}, b.err
 	}
-	return b.inner.ClassifyBatch(imgs)
+	return b.inner.ClassifyBatch(imgs, pipes)
 }

@@ -184,3 +184,55 @@ func TestStackAndSample(t *testing.T) {
 		t.Fatal("sample beyond leading dim accepted")
 	}
 }
+
+// TestGroupByShape pins the shape-grouping helper every batched caller uses
+// for mixed-shape input: groups in first-seen order, indices ascending, and
+// StackAt packing a group (a single index as a zero-copy N=1 view).
+func TestGroupByShape(t *testing.T) {
+	a1, b1, a2, c1, b2 := MustNew(3, 4, 4), MustNew(3, 5, 5), MustNew(3, 4, 4), MustNew(7), MustNew(3, 5, 5)
+	ts := []*Tensor{a1, b1, a2, c1, b2}
+	groups := GroupByShape(ts)
+	want := [][]int{{0, 2}, {1, 4}, {3}}
+	if len(groups) != len(want) {
+		t.Fatalf("groups %v, want %v", groups, want)
+	}
+	for g := range want {
+		if len(groups[g]) != len(want[g]) {
+			t.Fatalf("groups %v, want %v", groups, want)
+		}
+		for j := range want[g] {
+			if groups[g][j] != want[g][j] {
+				t.Fatalf("groups %v, want %v", groups, want)
+			}
+		}
+	}
+	if GroupByShape(nil) != nil {
+		t.Fatal("empty input grouped into something")
+	}
+
+	a2.Fill(2)
+	packed, err := StackAt(ts, groups[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := packed.Shape(); len(got) != 4 || got[0] != 2 {
+		t.Fatalf("packed shape %v", got)
+	}
+	if v, _ := packed.Sample(1); !v.Equal(a2) {
+		t.Fatal("StackAt packed the wrong tensor")
+	}
+	one, err := StackAt(ts, groups[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := one.Shape(); len(got) != 2 || got[0] != 1 || got[1] != 7 {
+		t.Fatalf("N=1 shape %v", got)
+	}
+	one.Data()[0] = 9
+	if c1.Data()[0] != 9 {
+		t.Fatal("a single index must be a view, not a copy")
+	}
+	if _, err := StackAt(ts, []int{0, 1}); err == nil {
+		t.Fatal("StackAt accepted mixed shapes")
+	}
+}

@@ -15,9 +15,9 @@
 // FMA chain in ascending k order, seeded from the element's prior value.
 // The chain is identical for the full and the masked kernel and does not
 // depend on the tile's position, the matrix width, or the number of GEMM
-// workers, so per-sample and batched forwards stay bit-identical to each
-// other on the SIMD path (they differ from the pure-Go path only by the
-// FMA's fused rounding).
+// workers, so a sample's forward outputs stay bit-identical alone (N=1)
+// and inside any batch on the SIMD path (they differ from the pure-Go path
+// only by the FMA's fused rounding).
 
 // func gemmKernel6x16(c, a, b *float32, kc, ldc int64)
 // Full-tile kernel: all 6 rows and 16 columns of C are in range.
@@ -237,8 +237,8 @@ TEXT ·xgetbvAsm(SB), NOSPLIT, $0-8
 // Numerical contract: each output is 8 lane-partial FMA chains (lane j
 // accumulates the l ≡ j (mod 8) terms in ascending l), reduced by a fixed
 // hadd tree, plus bias. The chain depends only on the input width, never
-// on the batch size or output position, so per-sample and batched Dense
-// forwards are bit-identical to each other.
+// on the batch size or output position, so a Dense row's output is the
+// same bits at any batch size.
 //
 // Weight rows past `rows` are clamped to the last valid row (computed but
 // masked off at store), so the kernel never reads out of bounds; the x and

@@ -15,9 +15,9 @@ import "sync"
 // The innermost computation is the register-tiled 6×16 AVX2/FMA microkernel
 // in gemm_amd64.s; tiles touching a matrix edge use its masked variant, so
 // every C element — interior or edge — is updated by the exact same
-// ascending-k FMA chain. That uniformity is what keeps per-sample and
-// batched forwards bit-identical to each other on this path (see the
-// contract note in gemm_amd64.s).
+// ascending-k FMA chain. That uniformity is what keeps a sample's forward
+// outputs bit-identical alone (N=1) and inside any batch on this path (see
+// the contract note in gemm_amd64.s).
 //
 // All four operand layouts (Gemm, GemmTA, GemmTB, and Linear's x·wᵀ) share
 // this nest; they differ only in how the A and B slivers are packed.

@@ -8,8 +8,8 @@ import "fmt"
 // (F) × (C·k·k) · (C·k·k) × (outH·outW) matrix product. Im2colBatch extends
 // the lowering across the batch dimension: all N samples of an NCHW input
 // land side by side in ONE (C·k·k) × (N·outH·outW) matrix, so a whole
-// micro-batch convolves in a single blocked GEMM per layer. Im2col is the
-// N=1 case of that layout.
+// batch convolves in a single blocked GEMM per layer; a single sample is
+// the N=1 case of that layout.
 //
 // All functions are allocation-free over caller-provided slices and carry no
 // state, so they are safe for concurrent use with per-caller buffers.
@@ -24,16 +24,6 @@ func ConvOut(in, k, stride, pad int) int {
 		return 0
 	}
 	return (in+2*pad-k)/stride + 1
-}
-
-// Im2col expands the CHW input src (c×h×w) into dst as a row-major
-// (c·k·k) × (outH·outW) matrix, where row (ch·k+ky)·k+kx holds the input
-// value each output position sees through kernel tap (ch, ky, kx); padding
-// positions are zero. dst must hold c·k·k·outH·outW elements (use ConvOut
-// for the output extents); it returns an error otherwise. It is exactly
-// Im2colBatch with a batch of one.
-func Im2col(dst, src []float32, c, h, w, k, stride, pad int) error {
-	return Im2colBatch(dst, src, 1, c, h, w, k, stride, pad)
 }
 
 // Im2colBatch expands the NCHW input src (n×c×h×w) into dst as ONE row-major
@@ -104,15 +94,6 @@ func Im2colBatch(dst, src []float32, n, c, h, w, k, stride, pad int) error {
 	return nil
 }
 
-// Col2im scatters a (c·k·k) × (outH·outW) column matrix back onto the CHW
-// plane dst (c×h×w), accumulating overlapping contributions — the adjoint of
-// Im2col and the heart of the convolution backward pass. dst is accumulated
-// into, not cleared; zero it first for a plain gradient. It is exactly
-// Col2imBatch with a batch of one.
-func Col2im(dst, cols []float32, c, h, w, k, stride, pad int) error {
-	return Col2imBatch(dst, cols, 1, c, h, w, k, stride, pad)
-}
-
 // Col2imBatch scatters a batch-wide (c·k·k) × (n·outH·outW) column-gradient
 // matrix — the Im2colBatch layout, one GemmTA output for a whole NCHW
 // micro-batch — back onto the NCHW plane dst (n×c×h×w), accumulating
@@ -120,7 +101,7 @@ func Col2im(dst, cols []float32, c, h, w, k, stride, pad int) error {
 // scatter step of the batched convolution backward pass: sample s's columns
 // occupy the contiguous column range [s·outH·outW, (s+1)·outH·outW) of every
 // row, and scatter only into sample s's CHW plane of dst. Per-element
-// accumulation order within a sample is identical to per-sample Col2im.
+// accumulation order within a sample does not depend on n.
 // dst must hold n·c·h·w elements and is accumulated into, not cleared; zero
 // it first for a plain gradient. cols must hold c·k·k·n·outH·outW elements.
 func Col2imBatch(dst, cols []float32, n, c, h, w, k, stride, pad int) error {

@@ -9,9 +9,9 @@ import (
 
 // GEMM kernels over row-major float32 slices. These are the compute
 // substrate of the im2col convolution path (internal/nn) and are written for
-// the shapes that path produces: from per-sample matrices a few hundred
-// elements per side up to batch-wide matrices whose n dimension spans a
-// whole NCHW micro-batch of output positions.
+// the shapes that path produces: from single-sample (N=1) matrices a few
+// hundred elements per side up to batch-wide matrices whose n dimension
+// spans a whole NCHW batch of output positions.
 //
 // Two kernel generations coexist, selected once at init:
 //
@@ -19,8 +19,8 @@ import (
 //     6×16 microkernel in Go assembly (gemm_amd64.s) over packed A and B
 //     panels (gemm_packed.go). Every C element is one ascending-k FMA
 //     chain, identical for interior and edge tiles and independent of the
-//     matrix width, so per-sample and batched forwards remain bit-identical
-//     to EACH OTHER; against the pure-Go path results differ only by the
+//     matrix width, so a sample's forward outputs are the same bits alone
+//     (N=1) and inside any batch; against the pure-Go path results differ only by the
 //     FMA's fused rounding (golden-equivalence-tested to 1e-4).
 //   - Pure-Go path (other architectures, CPUs without AVX2/FMA, or the
 //     `noasm` build tag): the blocked axpy kernels below, bit-identical to
@@ -392,8 +392,8 @@ func checkGemm(ld, la, lb, m, k, n int) {
 // (linearKernel8 in gemm_amd64.s) computes 8 outputs × 8 SIMD lanes per
 // call with no packing, streaming each weight row exactly once per batch.
 // Its per-element accumulation (8 lane-partial FMA chains folded by a fixed
-// tree, plus bias) depends only on `in`, never on the batch size, so
-// per-sample Forward remains exactly the N=1 case, bitwise. The pure-Go
+// tree, plus bias) depends only on `in`, never on the batch size, so a
+// row's output is the same bits at any N. The pure-Go
 // path keeps the weight-row-outer loop (bias first, then ascending input
 // index), bit-identical to the pre-SIMD implementation.
 func Linear(dst, x, w, bias []float32, n, in, out int) {
@@ -446,9 +446,9 @@ func (t *Tensor) MatMul(o *Tensor) (*Tensor, error) {
 // GrowSlice returns buf if it has capacity for n elements (re-sliced to
 // length n, contents unspecified) or a freshly allocated slice otherwise.
 // It is the reuse primitive behind the per-context scratch buffers.
-func GrowSlice(buf []float32, n int) []float32 {
+func GrowSlice[T any](buf []T, n int) []T {
 	if cap(buf) >= n {
 		return buf[:n]
 	}
-	return make([]float32, n)
+	return make([]T, n)
 }

@@ -5,17 +5,17 @@ import "fmt"
 // Batched bias-reduction kernels for the backward pass. A mini-batch's bias
 // gradient is a sum over every output position of every sample; these two
 // kernels cover the two layouts the batched backward produces, with
-// accumulation orders chosen to reproduce the per-sample backward chains
-// exactly (so batched and per-sample bias gradients stay bit-identical on
-// the scalar path):
+// accumulation orders chosen so a batch reproduces N sequential N=1
+// backward chains exactly (bias gradients stay bit-identical whatever the
+// batch width):
 //
 //   - AddRowSums reduces an F-major (rows) × (groups·groupLen) matrix — the
 //     convolution backward's dY layout, one groupLen-long run per
 //     (filter, sample) — folding each group's sum into dst as its own
-//     chain, exactly as N per-sample backward calls would.
+//     chain, exactly as N N=1 backward calls would.
 //   - AddColSums reduces a row-major (rows) × (cols) matrix — the dense
 //     backward's (N, out) dY layout — folding row after row into dst,
-//     exactly as N per-sample backward calls would.
+//     exactly as N N=1 backward calls would.
 //
 // Both are allocation-free and carry no state, so they are safe for
 // concurrent use with per-caller buffers.
@@ -26,8 +26,8 @@ import "fmt"
 // (ascending, one float32 chain per group) is added to dst[r]. With
 // src = the batched convolution's F-major output gradient (rows = filters,
 // groups = batch, groupLen = outH·outW) this is the batched dB reduction,
-// bit-identical to per-sample backward (each sample's spatial sum is its own
-// chain folded into dst in sample order).
+// bit-identical to N N=1 backward calls (each sample's spatial sum is its
+// own chain folded into dst in sample order).
 func AddRowSums(dst, src []float32, rows, groups, groupLen int) error {
 	if rows < 0 || groups < 0 || groupLen < 0 {
 		return fmt.Errorf("tensor: row-sum dims (rows=%d, groups=%d, groupLen=%d) must be >= 0",
@@ -58,7 +58,7 @@ func AddRowSums(dst, src []float32, rows, groups, groupLen int) error {
 // src into dst: dst[c] += src[r·cols+c] for r ascending — row after row
 // folded directly into dst, streaming src once. With src = the batched dense
 // layer's (N, out) output gradient this is the batched dB reduction,
-// bit-identical to per-sample backward (which adds each sample's gradient
+// bit-identical to N N=1 backward calls (each adds its sample's gradient
 // row into dst in sample order).
 func AddColSums(dst, src []float32, rows, cols int) error {
 	if rows < 0 || cols < 0 {

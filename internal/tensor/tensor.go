@@ -4,11 +4,12 @@
 // generator (internal/gtsrb) and the shape qualifier (internal/shape).
 //
 // Tensors are row-major ("C order"). Convolutional data uses CHW layout
-// (channels, height, width) per sample and NCHW for micro-batches (Stack
-// packs samples, Sample views them back out). The batched kernels —
-// Im2colBatch and Linear — lay a whole micro-batch into one matrix so a
-// convolution or dense layer runs as a single blocked GEMM per batch; the
-// per-sample entry points are their N=1 cases.
+// (channels, height, width) per sample and NCHW for batches (Stack and
+// StackAt pack samples, Sample views them back out, GroupByShape splits
+// mixed-shape input into stackable groups). The batched kernels —
+// Im2colBatch and Linear — lay a whole batch into one matrix so a
+// convolution or dense layer runs as a single blocked GEMM per batch; a
+// single sample is an N=1 batch.
 //
 // The package is deliberately free of global state: all random fills take an
 // explicit *rand.Rand so that every experiment in the repository is
@@ -247,8 +248,8 @@ func (t *Tensor) Filter(f int) (*Tensor, error) {
 
 // Stack copies equal-shaped tensors into one new tensor with a leading batch
 // dimension: n inputs of shape (d₀,…) become (n, d₀, …). It is the packing
-// step of the batch-native forward path — per-sample CHW images become the
-// NCHW micro-batch one GEMM per layer consumes. The data is copied, so the
+// step of the batch-native forward path — CHW images become the NCHW batch
+// one GEMM per layer consumes. The data is copied, so the
 // result does not alias the inputs.
 func Stack(ts []*Tensor) (*Tensor, error) {
 	if len(ts) == 0 {
@@ -272,6 +273,43 @@ func Stack(ts []*Tensor) (*Tensor, error) {
 		copy(out.data[i*per:(i+1)*per], t.data)
 	}
 	return out, nil
+}
+
+// GroupByShape partitions the indices of ts by shape: one index list per
+// distinct shape, groups in first-seen order, indices ascending within a
+// group. It is how every batched caller takes mixed-shape input: each group
+// packs (StackAt) into one batch.
+func GroupByShape(ts []*Tensor) [][]int {
+	var groups [][]int
+next:
+	for i, t := range ts {
+		for g, idx := range groups {
+			if ts[idx[0]].SameShape(t) {
+				groups[g] = append(idx, i)
+				continue next
+			}
+		}
+		groups = append(groups, []int{i})
+	}
+	return groups
+}
+
+// StackAt packs ts[idx[0]], ts[idx[1]], … into one batch like Stack, except
+// that a single index takes a zero-copy (1, d₀, …) view instead of a copy:
+// a lone sample runs as an N=1 batch for free.
+func StackAt(ts []*Tensor, idx []int) (*Tensor, error) {
+	if len(idx) == 1 {
+		t := ts[idx[0]]
+		if t == nil {
+			return nil, fmt.Errorf("tensor: stack input %d is nil", idx[0])
+		}
+		return t.Reshape(append([]int{1}, t.shape...)...)
+	}
+	picked := make([]*Tensor, len(idx))
+	for j, i := range idx {
+		picked[j] = ts[i]
+	}
+	return Stack(picked)
 }
 
 // Sample returns a rank-(r−1) view of sample i of a batched tensor (leading

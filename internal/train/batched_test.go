@@ -53,12 +53,12 @@ func batchGrads(t *testing.T, subBatch, workers int) []float64 {
 	return out
 }
 
-// TestBatchedGradientsMatchPerSample: one mini-batch through the batched
-// backward path (whole-shard and capped sub-batches) must accumulate the
-// same canonical gradients as the per-sample path, up to floating-point
+// TestBatchedGradientsMatchPerSample: one mini-batch as whole-shard and
+// capped sub-batches must accumulate the same canonical gradients as the
+// same samples run one at a time as N=1 batches, up to floating-point
 // summation order.
 func TestBatchedGradientsMatchPerSample(t *testing.T) {
-	want := batchGrads(t, 1, 1) // legacy per-sample path
+	want := batchGrads(t, 1, 1) // N=1 batches
 	for _, subBatch := range []int{0, 2, 3, 8} {
 		got := batchGrads(t, subBatch, 1)
 		if len(got) != len(want) {
@@ -66,7 +66,7 @@ func TestBatchedGradientsMatchPerSample(t *testing.T) {
 		}
 		for i := range got {
 			if math.Abs(got[i]-want[i]) > 1e-4 {
-				t.Fatalf("subbatch=%d: grad[%d] = %v, per-sample %v", subBatch, i, got[i], want[i])
+				t.Fatalf("subbatch=%d: grad[%d] = %v, N=1 batches %v", subBatch, i, got[i], want[i])
 			}
 		}
 	}
@@ -115,10 +115,11 @@ func fitLosses(t *testing.T, subBatch int) []float64 {
 }
 
 // TestFitLossTrajectoryBatchedVsPerSample: end-to-end Trainer.Fit must walk
-// the same loss trajectory in batched and per-sample mode. The runs share
-// seeds and update rule; only float32 summation order differs, and the
-// divergence compounds through the optimiser, so the tolerance is loose
-// relative to the per-step 1e-5 gradient equivalence.
+// the same loss trajectory with whole-shard batches (SubBatch 0) and N=1
+// batches (SubBatch 1). The runs share seeds and update rule; only float32
+// summation order differs, and the divergence compounds through the
+// optimiser, so the tolerance is loose relative to the per-step 1e-5
+// gradient equivalence.
 func TestFitLossTrajectoryBatchedVsPerSample(t *testing.T) {
 	batched := fitLosses(t, 0)
 	perSample := fitLosses(t, 1)
@@ -127,7 +128,7 @@ func TestFitLossTrajectoryBatchedVsPerSample(t *testing.T) {
 	}
 	for e := range batched {
 		if d := math.Abs(batched[e] - perSample[e]); d > 1e-2 {
-			t.Fatalf("epoch %d: batched loss %v vs per-sample %v (diff %v)",
+			t.Fatalf("epoch %d: batched loss %v vs N=1 batches %v (diff %v)",
 				e, batched[e], perSample[e], d)
 		}
 	}
@@ -136,38 +137,66 @@ func TestFitLossTrajectoryBatchedVsPerSample(t *testing.T) {
 	}
 }
 
-// TestBatchedMixedShapeFallback: a sub-batch whose images disagree in shape
-// cannot stack, so the batched path must fall back to per-sample — and
-// therefore fail (or succeed) EXACTLY as per-sample mode does. Here the odd
-// shape breaks the dense layer in both modes; the errors must match, proving
-// the fallback reached the per-sample code path rather than dying in Stack.
+// TestBatchedMixedShapeFallback: a shard whose images disagree in shape
+// runs one batch per shape group (first-seen order), so its loss and
+// accumulated gradients must equal running each group alone, in that
+// order — bit for bit — and match N=1 batches up to summation order.
 func TestBatchedMixedShapeFallback(t *testing.T) {
-	run := func(subBatch int) error {
-		ds := tinyDataset(t, 2, 5)
-		// One odd-shaped sample: conv accepts it, flatten+dense reject it.
-		odd := tensor.MustNew(3, 20, 20)
-		odd.FillUniform(rand.New(rand.NewSource(5)), 0, 1)
-		ds.Examples[3].Image = odd
-		net, err := nn.NewMicroAlexNet(tinyConfig(), rand.New(rand.NewSource(7)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt, err := NewSGD(0.01, 0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr := &Trainer{Net: net, Opt: opt, BatchSize: ds.Len(), Epochs: 1, SubBatch: subBatch,
-			Rng: rand.New(rand.NewSource(2))}
-		_, err = tr.Fit(ds)
-		return err
+	// conv+flatten accepts any input size; each size gives its own class
+	// count, and every label stays in range of the smaller one.
+	rng := rand.New(rand.NewSource(5))
+	conv, err := nn.NewConv2D("c", 3, 2, 3, 1, 0, rng)
+	if err != nil {
+		t.Fatal(err)
 	}
-	batched := run(0)
-	perSample := run(1)
-	if batched == nil || perSample == nil {
-		t.Fatalf("mixed-shape training succeeded: batched %v, per-sample %v", batched, perSample)
+	net, err := nn.NewSequential("convnet", conv, nn.NewFlatten("f"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if batched.Error() != perSample.Error() {
-		t.Fatalf("fallback diverged from per-sample: %q vs %q", batched, perSample)
+	ds := tinyDataset(t, 1, 5) // 6 samples, labels 0..5
+	for _, i := range []int{1, 4} {
+		odd := tensor.MustNew(3, 5, 5) // 3×3×2 = 18 outputs
+		odd.FillUniform(rng, 0, 1)
+		ds.Examples[i].Image = odd
+	}
+	shard := []int{0, 1, 2, 3, 4, 5}
+	run := func(subBatch int, parts ...[]int) (float64, []float32) {
+		tr := &Trainer{Net: net, Opt: &SGD{}, SubBatch: subBatch}
+		ctx := nn.NewContext()
+		ctx.SetTraining(true)
+		net.ZeroGrads()
+		var loss float64
+		for _, part := range parts {
+			l, err := tr.runShard(ctx, ds, part, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			loss += l
+		}
+		var grads []float32
+		for _, p := range net.Params() {
+			grads = append(grads, p.Grad.Data()...)
+		}
+		return loss, grads
+	}
+	loss, grads := run(0, shard)
+	wantLoss, wantGrads := run(0, []int{0, 2, 3, 5}, []int{1, 4})
+	if loss != wantLoss {
+		t.Fatalf("mixed shard loss %v, groups alone %v", loss, wantLoss)
+	}
+	for i := range grads {
+		if math.Float32bits(grads[i]) != math.Float32bits(wantGrads[i]) {
+			t.Fatalf("grad[%d] = %v, groups alone %v", i, grads[i], wantGrads[i])
+		}
+	}
+	oneLoss, oneGrads := run(1, shard)
+	if math.Abs(loss-oneLoss) > 1e-4 {
+		t.Fatalf("mixed shard loss %v, N=1 batches %v", loss, oneLoss)
+	}
+	for i := range grads {
+		if math.Abs(float64(grads[i]-oneGrads[i])) > 1e-4 {
+			t.Fatalf("grad[%d] = %v, N=1 batches %v", i, grads[i], oneGrads[i])
+		}
 	}
 }
 

@@ -127,10 +127,10 @@ func Evaluate(net *nn.Sequential, ds *gtsrb.Dataset) (*ConfusionMatrix, error) {
 // EvaluateParallel is Evaluate with an explicit worker count (0 = all
 // cores). The dataset runs through the batch-native forward path: each
 // worker packs its share of examples into NCHW micro-batches and classifies
-// them with one GEMM per layer per sub-batch (infer.PredictBatched).
-// Predictions are recorded in example order and the batched path computes
-// the same logits as per-sample forward, so the matrix is identical for
-// every worker count and sub-batch size.
+// them with one GEMM per layer per sub-batch (infer.Predict). Predictions
+// are recorded in example order and a sample's logits do not depend on its
+// batch, so the matrix is identical for every worker count and sub-batch
+// size.
 func EvaluateParallel(net *nn.Sequential, ds *gtsrb.Dataset, workers int) (*ConfusionMatrix, error) {
 	if net == nil || ds == nil || ds.Len() == 0 {
 		return nil, fmt.Errorf("train: evaluate needs a network and a non-empty dataset")
@@ -147,7 +147,7 @@ func EvaluateParallel(net *nn.Sequential, ds *gtsrb.Dataset, workers int) (*Conf
 	for i, ex := range ds.Examples {
 		xs[i] = ex.Image
 	}
-	preds, err := pool.PredictBatched(xs)
+	preds, err := pool.Predict(xs)
 	if err != nil {
 		return nil, fmt.Errorf("train: evaluate: %w", err)
 	}
@@ -179,21 +179,26 @@ func MeanClassConfidence(net *nn.Sequential, ds *gtsrb.Dataset, class int) (floa
 	if class < 0 || class >= ds.NumClasses() {
 		return 0, fmt.Errorf("train: class %d out of range [0,%d)", class, ds.NumClasses())
 	}
-	var sum float64
-	var n int
-	for i, ex := range ds.Examples {
-		if ex.Label != class {
-			continue
+	var xs []*tensor.Tensor
+	for _, ex := range ds.Examples {
+		if ex.Label == class {
+			xs = append(xs, ex.Image)
 		}
-		probs, _, err := nn.Predict(net, ex.Image)
-		if err != nil {
-			return 0, fmt.Errorf("train: confidence example %d: %w", i, err)
-		}
-		sum += float64(probs[class])
-		n++
 	}
-	if n == 0 {
+	if len(xs) == 0 {
 		return 0, fmt.Errorf("train: dataset has no examples of class %d", class)
 	}
-	return sum / float64(n), nil
+	pool, err := infer.New(net, infer.Config{})
+	if err != nil {
+		return 0, err
+	}
+	preds, err := pool.Predict(xs)
+	if err != nil {
+		return 0, fmt.Errorf("train: confidence: %w", err)
+	}
+	var sum float64
+	for _, p := range preds {
+		sum += float64(p.Probs[class])
+	}
+	return sum / float64(len(xs)), nil
 }

@@ -91,6 +91,49 @@ func TestSGDMomentumAccumulates(t *testing.T) {
 	}
 }
 
+// TestSGDMomentumOnLayerParams: layers hand out the same *Param on every
+// Params() call, so the optimiser's per-parameter velocity persists across
+// steps of a real network — momentum applies, and the velocity map holds
+// exactly one entry per parameter instead of growing every step.
+func TestSGDMomentumOnLayerParams(t *testing.T) {
+	d, err := nn.NewDense("fc", 3, 2, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second := d.Params(), d.Params()
+	for i := range first {
+		if first[i] != second[i] {
+			t.Fatalf("Params()[%d] is a fresh pointer on every call", i)
+		}
+	}
+	net, err := nn.NewSequential("net", d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := NewSGD(0.1, 0.9, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := d.Weight().Data()
+	var moved [2]float64
+	for step := range moved {
+		for _, p := range net.Params() {
+			p.Grad.Fill(1) // the same gradient every step
+		}
+		before := w[0]
+		if err := o.Step(net.Params(), 1); err != nil {
+			t.Fatal(err)
+		}
+		moved[step] = math.Abs(float64(w[0] - before))
+	}
+	if !(moved[1] > moved[0]) {
+		t.Errorf("second step moved %v, first %v: momentum did not carry over", moved[1], moved[0])
+	}
+	if len(o.velocity) != len(net.Params()) {
+		t.Errorf("velocity map holds %d entries for %d parameters", len(o.velocity), len(net.Params()))
+	}
+}
+
 func TestSGDWeightDecayShrinks(t *testing.T) {
 	v := tensor.MustFromSlice([]float32{1}, 1)
 	g := tensor.MustNew(1) // zero gradient

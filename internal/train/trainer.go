@@ -18,14 +18,13 @@ import (
 // update rule is identical to the serial path up to floating-point
 // summation order and per-worker dropout streams.
 //
-// Within each worker's shard the passes are batch-native by default: the
-// shard's samples stack into one NCHW batch that runs through
-// ForwardBatch/BackwardBatch — one GEMM per layer per direction for the
-// whole sub-batch, so conv and fc weight matrices stream once per
-// sub-batch instead of once per sample. SubBatch tunes (or disables) this;
-// shards with mixed image shapes fall back to the per-sample path
-// automatically. Worker parallelism composes with intra-GEMM parallelism
-// (tensor.SetGemmWorkers): total concurrency ≈ Workers × gemm workers.
+// Within each worker's shard the samples stack into NCHW batches that run
+// through ForwardBatch/BackwardBatch — one GEMM per layer per direction per
+// batch, so conv and fc weight matrices stream once per batch instead of
+// once per sample. SubBatch caps the batch size; samples of different image
+// shapes batch separately (one batch per shape). Worker parallelism
+// composes with intra-GEMM parallelism (tensor.SetGemmWorkers): total
+// concurrency ≈ Workers × gemm workers.
 type Trainer struct {
 	// Net is the network to train.
 	Net *nn.Sequential
@@ -38,11 +37,10 @@ type Trainer struct {
 	// Workers is the per-batch parallelism (default 1 = serial, bit-exact
 	// reproducible; more workers trade exact reproducibility for speed).
 	Workers int
-	// SubBatch sets how many samples of a worker's shard run through one
+	// SubBatch caps how many samples of a worker's shard run through one
 	// ForwardBatch/BackwardBatch pass: 0 (the default) batches the whole
-	// shard in one pass, 1 selects the legacy per-sample
-	// Forward/Backward path, and N >= 2 caps each batched pass at N
-	// samples (bounding the batch-sized activation/scratch memory).
+	// shard in one pass, N >= 1 caps each pass at N samples (bounding the
+	// batch-sized activation/scratch memory; 1 runs N=1 batches).
 	// Gradients are golden-equivalent across settings (≤1e-5, scaled);
 	// only float32 summation order differs.
 	SubBatch int
@@ -208,24 +206,17 @@ func (t *Trainer) runBatch(ctxs []*nn.Context, ds *gtsrb.Dataset, batch []int, e
 }
 
 // runShard processes one worker's shard of a mini-batch through one
-// context: per-sample when SubBatch == 1, otherwise in batched sub-batches
-// (the whole shard when SubBatch == 0). Gradients accumulate into the
-// context's target buffers; the summed loss is returned.
+// context in batches of at most SubBatch samples (the whole shard when
+// SubBatch == 0). Gradients accumulate into the context's target buffers;
+// the summed loss is returned.
 func (t *Trainer) runShard(ctx *nn.Context, ds *gtsrb.Dataset, idxs []int, epoch int) (float64, error) {
-	if t.SubBatch == 1 {
-		return t.runSamples(ctx, ds, idxs, epoch)
-	}
 	size := t.SubBatch
 	if size == 0 {
 		size = len(idxs)
 	}
 	var lossSum float64
 	for start := 0; start < len(idxs); start += size {
-		end := start + size
-		if end > len(idxs) {
-			end = len(idxs)
-		}
-		loss, err := t.runBatched(ctx, ds, idxs[start:end], epoch)
+		loss, err := t.runBatched(ctx, ds, idxs[start:min(start+size, len(idxs))], epoch)
 		if err != nil {
 			return 0, err
 		}
@@ -234,58 +225,37 @@ func (t *Trainer) runShard(ctx *nn.Context, ds *gtsrb.Dataset, idxs []int, epoch
 	return lossSum, nil
 }
 
-// runBatched stacks one sub-batch of samples into an NCHW batch and drives
-// it through ForwardBatch, the batched softmax-cross-entropy gradient and
-// BackwardBatch — one GEMM per layer per direction for the whole sub-batch.
-// Sub-batches whose images disagree in shape cannot stack and fall back to
-// the per-sample path (identical gradients, sample at a time).
+// runBatched drives one sub-batch of samples through ForwardBatch, the
+// batched softmax-cross-entropy gradient and BackwardBatch — one GEMM per
+// layer per direction, one batch per image shape in the sub-batch (stable
+// first-seen order). A single sample runs as an N=1 view, without a copy.
 func (t *Trainer) runBatched(ctx *nn.Context, ds *gtsrb.Dataset, idxs []int, epoch int) (float64, error) {
 	imgs := make([]*tensor.Tensor, len(idxs))
-	labels := make([]int, len(idxs))
 	for i, idx := range idxs {
-		ex := ds.Examples[idx]
-		if !ex.Image.SameShape(ds.Examples[idxs[0]].Image) {
-			return t.runSamples(ctx, ds, idxs, epoch)
-		}
-		imgs[i] = ex.Image
-		labels[i] = ex.Label
+		imgs[i] = ds.Examples[idx].Image
 	}
-	batch, err := tensor.Stack(imgs)
-	if err != nil {
-		return 0, fmt.Errorf("train: epoch %d stack: %w", epoch, err)
-	}
-	logits, err := t.Net.ForwardBatch(ctx, batch)
-	if err != nil {
-		return 0, fmt.Errorf("train: epoch %d batched forward: %w", epoch, err)
-	}
-	loss, grad, err := nn.CrossEntropyLossBatch(logits, labels)
-	if err != nil {
-		return 0, fmt.Errorf("train: epoch %d batched loss: %w", epoch, err)
-	}
-	if _, err := t.Net.BackwardBatch(ctx, grad); err != nil {
-		return 0, fmt.Errorf("train: epoch %d batched backward: %w", epoch, err)
-	}
-	return loss, nil
-}
-
-// runSamples processes samples through one context, accumulating gradients
-// into the context's target buffers, and returns the summed loss.
-func (t *Trainer) runSamples(ctx *nn.Context, ds *gtsrb.Dataset, idxs []int, epoch int) (float64, error) {
 	var lossSum float64
-	for _, idx := range idxs {
-		ex := ds.Examples[idx]
-		logits, err := t.Net.Forward(ctx, ex.Image)
+	for _, group := range tensor.GroupByShape(imgs) {
+		batch, err := tensor.StackAt(imgs, group)
+		if err != nil {
+			return 0, fmt.Errorf("train: epoch %d stack: %w", epoch, err)
+		}
+		labels := make([]int, len(group))
+		for j, k := range group {
+			labels[j] = ds.Examples[idxs[k]].Label
+		}
+		logits, err := t.Net.ForwardBatch(ctx, batch)
 		if err != nil {
 			return 0, fmt.Errorf("train: epoch %d forward: %w", epoch, err)
 		}
-		loss, grad, err := nn.CrossEntropyLoss(logits, ex.Label)
+		loss, grad, err := nn.CrossEntropyLossBatch(logits, labels)
 		if err != nil {
 			return 0, fmt.Errorf("train: epoch %d loss: %w", epoch, err)
 		}
-		lossSum += loss
-		if _, err := t.Net.Backward(ctx, grad); err != nil {
+		if _, err := t.Net.BackwardBatch(ctx, grad); err != nil {
 			return 0, fmt.Errorf("train: epoch %d backward: %w", epoch, err)
 		}
+		lossSum += loss
 	}
 	return lossSum, nil
 }
