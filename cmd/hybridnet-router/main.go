@@ -3,12 +3,12 @@
 // replica and micro-batching scheduler, and presents the same three
 // endpoints a single daemon exposes.
 //
-//	POST /classify        routed to a shard: power-of-two-choices under the
-//	                      -placement policy (p2c, weighted-p2c on -weights/
-//	                      -adaptive-weights, or minmax on worker-advertised
-//	                      weights), round-robin on ties; one automatic
-//	                      failover on a dead or load-shedding (503) shard for
-//	                      guaranteed and fast requests (budget never fails over)
+//	POST /classify        routed to a shard: power-of-two-choices scored by
+//	                      min-max on worker-advertised weights (falling back to
+//	                      reported service time, then load), round-robin on
+//	                      ties; one automatic failover on a dead or
+//	                      load-shedding (503) shard for guaranteed and fast
+//	                      requests (budget never fails over)
 //	GET  /healthz         router + fleet health (503 once no shard is routable)
 //	GET  /stats           per-shard serve.Stats plus the serve.Merge aggregate
 //	                      (fleet latency quantiles from merged histograms)
@@ -82,9 +82,6 @@ func run(args []string) error {
 	healthInterval := fs.Duration("health-interval", 250*time.Millisecond, "shard health-probe period")
 	breaker := fs.Int("breaker", 3, "consecutive failures before a shard is circuit-broken")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-attempt proxy timeout")
-	weights := fs.String("weights", "", "comma-separated per-shard capacity weights (empty = all equal)")
-	adaptive := fs.Bool("adaptive-weights", true, "scale placement by each worker's reported per-image service time")
-	placement := fs.String("placement", "weighted-p2c", "placement policy: p2c|weighted-p2c|minmax (minmax consumes each worker's self-advertised weight)")
 	restartMax := fs.Int("restart-max", 5, "consecutive respawn attempts before a dead worker is permanently down (0 = default, negative disables respawn)")
 	restartBackoff := fs.Duration("restart-backoff", 250*time.Millisecond, "initial respawn backoff (doubles per consecutive attempt)")
 	gemmWorkers := fs.Int("gemm-workers", 1, "per-worker intra-GEMM parallelism, appended to spawned workers' args (spawn mode; 1 = off)")
@@ -110,8 +107,6 @@ func run(args []string) error {
 		HealthInterval:   *healthInterval,
 		BreakerThreshold: *breaker,
 		RequestTimeout:   *timeout,
-		AdaptiveWeights:  *adaptive,
-		Placement:        *placement,
 		RestartMax:       *restartMax,
 		RestartBackoff:   *restartBackoff,
 		Logf:             logger.Logf,
@@ -119,13 +114,6 @@ func run(args []string) error {
 		TraceDepth:       *traceDepth,
 		TraceSample:      *traceSample,
 		DefaultClass:     defClass,
-	}
-	if *weights != "" {
-		w, err := parseWeights(*weights)
-		if err != nil {
-			return err
-		}
-		cfg.Weights = w
 	}
 	var router *shard.Router
 	switch {
@@ -206,24 +194,6 @@ func run(args []string) error {
 		"completed", rep.Aggregate.Completed, "batches", rep.Aggregate.Batches,
 		"mean_batch", rep.Aggregate.MeanBatch)
 	return nil
-}
-
-// parseWeights turns the -weights flag into shard.Config.Weights; the
-// Router validates count and positivity against the shard count.
-func parseWeights(s string) ([]float64, error) {
-	parts := splitList(s)
-	out := make([]float64, 0, len(parts))
-	for _, p := range parts {
-		w, err := strconv.ParseFloat(p, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad -weights entry %q: %w", p, err)
-		}
-		out = append(out, w)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-weights has no entries")
-	}
-	return out, nil
 }
 
 // splitList splits a comma-separated flag value, tolerating whitespace and

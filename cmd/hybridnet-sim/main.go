@@ -1,27 +1,26 @@
 // Command hybridnet-sim runs the deterministic fleet simulator: scripted
 // shards with piecewise service-time curves, a seeded virtual clock, and
-// the real placement code (shard.Placer) and worker-side weight tracker
-// (serve.WeightTracker) driven at probe cadence. It is how placement
-// policies are compared without standing up a fleet — the same runs CI
+// the router's real placement rule (shard.NewPlacer) and worker-side weight
+// tracker (serve.WeightTracker) driven at probe cadence. It is how
+// placement is evaluated without standing up a fleet — the same runs CI
 // gates on, replayable byte-for-byte from a seed.
 //
-//	hybridnet-sim                                 # full builtin matrix, all policies
-//	hybridnet-sim -scenario adversarial-flap      # one builtin, all policies
+//	hybridnet-sim                                 # every builtin scenario
+//	hybridnet-sim -scenario adversarial-flap      # one builtin
 //	hybridnet-sim -scenario ./my-scenario.json    # a scripted scenario file
-//	hybridnet-sim -policy minmax -table           # human-readable table instead of JSON
+//	hybridnet-sim -table                          # human-readable table instead of JSON
 //	hybridnet-sim -list                           # builtin scenario names
 //
-// Output is the indented-JSON comparison report ([]sim.Comparison); the
-// determinism guarantee is stated over these bytes: same scenarios, same
-// policies, same seeds → identical output. -table renders the same data as
-// an aligned text table for eyeballing.
+// Output is the indented-JSON scenario report ([]sim.Result, one per
+// scenario); the determinism guarantee is stated over these bytes: same
+// scenarios, same seeds → identical output. -table renders the same data
+// as an aligned text table for eyeballing.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"text/tabwriter"
 	"time"
 
@@ -31,7 +30,6 @@ import (
 func main() {
 	fs := flag.NewFlagSet("hybridnet-sim", flag.ExitOnError)
 	scenario := fs.String("scenario", "", "builtin scenario name or path to a scenario JSON file (default: every builtin)")
-	policy := fs.String("policy", "", "single placement policy to run (default: all of "+strings.Join(sim.Policies(), ", ")+")")
 	table := fs.Bool("table", false, "print an aligned text table instead of the JSON report")
 	list := fs.Bool("list", false, "list builtin scenarios and exit")
 	fs.Parse(os.Args[1:])
@@ -55,30 +53,27 @@ func main() {
 		}
 		scenarios = []sim.Scenario{sc}
 	}
-	policies := sim.Policies()
-	if *policy != "" {
-		policies = []string{*policy}
-	}
-
-	comps, err := sim.Matrix(scenarios, policies)
-	if err != nil {
-		fatal(err)
+	results := make([]sim.Result, 0, len(scenarios))
+	for _, sc := range scenarios {
+		r, err := sim.Run(sc)
+		if err != nil {
+			fatal(err)
+		}
+		results = append(results, r)
 	}
 	if *table {
 		w := tabwriter.NewWriter(os.Stdout, 2, 8, 2, ' ', 0)
-		fmt.Fprintln(w, "scenario\tpolicy\tp50\tp99\tp999\tshed\tfailovers\tcompleted")
-		for _, c := range comps {
-			for _, r := range c.Results {
-				fmt.Fprintf(w, "%s\t%s\t%v\t%v\t%v\t%d\t%d\t%d\n",
-					c.Scenario, r.Policy,
-					r.P50.Round(time.Microsecond), r.P99.Round(time.Microsecond),
-					r.P999.Round(time.Microsecond), r.Shed, r.Failovers, r.Completed)
-			}
+		fmt.Fprintln(w, "scenario\tp50\tp99\tp999\tshed\tfailovers\tcompleted")
+		for _, r := range results {
+			fmt.Fprintf(w, "%s\t%v\t%v\t%v\t%d\t%d\t%d\n",
+				r.Scenario,
+				r.P50.Round(time.Microsecond), r.P99.Round(time.Microsecond),
+				r.P999.Round(time.Microsecond), r.Shed, r.Failovers, r.Completed)
 		}
 		w.Flush()
 		return
 	}
-	report, err := sim.Report(comps)
+	report, err := sim.Report(results)
 	if err != nil {
 		fatal(err)
 	}

@@ -522,9 +522,9 @@ func (s *server) decodeImage(req classifyRequest) (*tensor.Tensor, error) {
 }
 
 // handleHealthz reports liveness plus the signals the shard router feeds
-// into placement: the live queue depth (load), the rolling per-image
-// service time (capacity, for adaptive weighting), and the self-computed
-// min-max advertised weight (consumed by `-placement minmax`). The build
+// into placement: the live queue depth and its per-class split (load), the
+// rolling per-image service time (capacity, the router's fallback), and the
+// self-computed min-max advertised weight the router scores by. The build
 // block identifies the compute substrate — which GEMM kernel this binary
 // selected at init and what the host CPU offers — so a heterogeneous fleet
 // (some workers on SIMD, some on the pure-Go fallback) is diagnosable from

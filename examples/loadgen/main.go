@@ -474,19 +474,15 @@ func reportShards(client *http.Client, addr string) error {
 			fmt.Printf("  shard %d %-22s %s  stats unavailable: %s\n", s.ID, s.URL, state, s.Error)
 			continue
 		}
-		fmt.Printf("  shard %d %-22s %s  w=%.1f svc=%v  completed %d (mean batch %.2f)  p50 %v  p99 %v  max %v\n",
-			s.ID, s.URL, state, s.Weight, s.ServiceTime.Round(time.Microsecond),
+		fmt.Printf("  shard %d %-22s %s  advertised_weight=%.1f svc=%v  completed %d (mean batch %.2f)  p50 %v  p99 %v  max %v\n",
+			s.ID, s.URL, state, s.AdvertisedWeight, s.ServiceTime.Round(time.Microsecond),
 			s.Stats.Completed, s.Stats.MeanBatch,
 			s.Stats.LatencyP50.Round(time.Microsecond), s.Stats.LatencyP99.Round(time.Microsecond),
 			s.Stats.LatencyMax.Round(time.Microsecond))
 	}
 	agg := rep.Aggregate
-	exact := "count-weighted"
-	if agg.LatencyHist != nil {
-		exact = "merged-histogram exact"
-	}
-	fmt.Printf("  aggregate (%d shards, %s)  completed %d (mean batch %.2f)  p50 %v  p99 %v  max %v\n",
-		agg.Shards, exact, agg.Completed, agg.MeanBatch,
+	fmt.Printf("  aggregate (%d shards, merged-histogram exact)  completed %d (mean batch %.2f)  p50 %v  p99 %v  max %v\n",
+		agg.Shards, agg.Completed, agg.MeanBatch,
 		agg.LatencyP50.Round(time.Microsecond), agg.LatencyP99.Round(time.Microsecond),
 		agg.LatencyMax.Round(time.Microsecond))
 	return nil

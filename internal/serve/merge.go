@@ -15,12 +15,10 @@ import "time"
 //   - MeanBatch is recomputed from the merged totals (dispatched images over
 //     batches), not averaged — averaging per-shard means would weight an
 //     idle shard equally with a busy one.
-//   - Latency quantiles come from the element-wise sum of the per-shard
-//     LatencyHist histograms, so the fleet p50/p99 are exact-to-bucket:
-//     identical to a single process observing every sample. Only when some
-//     shard carries samples but no histogram (an older worker) does the
-//     merge fall back to the historical count-weighted mean of per-shard
-//     quantiles. LatencyMax is the exact max either way.
+//   - Latency quantiles and LatencyCount come from the element-wise sum of
+//     the per-shard LatencyHist histograms, so the fleet p50/p99 are
+//     exact-to-bucket: identical to a single process observing every
+//     sample. LatencyMax is the exact max.
 //   - ServiceTime is the dispatched-weighted mean of the shard estimates.
 //   - AdvertisedWeight sums: each shard advertises an offered service rate,
 //     so the fleet-level value is total advertised capacity.
@@ -28,7 +26,7 @@ import "time"
 //   - The per-class splits merge by class name under the same rules
 //     (counter sums, exact histogram merges), so fleet-level per-class
 //     sums still equal the fleet-level aggregates. Shards without a class
-//     split (older workers) contribute only to the aggregates.
+//     split (zero-valued placeholders) contribute only to the aggregates.
 func Merge(shards ...Stats) Stats {
 	var m Stats
 	hist := NewHistogram()
@@ -36,8 +34,6 @@ func Merge(shards ...Stats) Stats {
 	backendHist := NewHistogram()
 	classes := make(map[string]*ClassStats)
 	var classOrder []string
-	exact := true
-	var p50w, p99w float64
 	var svcW float64
 	var svcN uint64
 	for _, s := range shards {
@@ -89,20 +85,13 @@ func Merge(shards ...Stats) Stats {
 		if s.LatencyMax > m.LatencyMax {
 			m.LatencyMax = s.LatencyMax
 		}
-		m.LatencyCount += s.LatencyCount
-		if s.LatencyHist != nil {
-			hist.Merge(s.LatencyHist)
-		} else if s.LatencyCount > 0 {
-			exact = false
-		}
-		queueHist.Merge(s.QueueHist) // nil-safe no-ops for older workers
+		hist.Merge(s.LatencyHist) // nil-safe no-ops
+		queueHist.Merge(s.QueueHist)
 		backendHist.Merge(s.BackendHist)
 		m.StageReliable += s.StageReliable
 		m.StageQualifier += s.StageQualifier
 		m.StageCNN += s.StageCNN
 		m.AdvertisedWeight += s.AdvertisedWeight
-		p50w += float64(s.LatencyP50) * float64(s.LatencyCount)
-		p99w += float64(s.LatencyP99) * float64(s.LatencyCount)
 		if d := s.Dispatched(); s.ServiceTime > 0 && d > 0 {
 			svcW += float64(s.ServiceTime) * float64(d)
 			svcN += d
@@ -120,17 +109,11 @@ func Merge(shards ...Stats) Stats {
 	if backendHist.Count() > 0 {
 		m.BackendHist = backendHist
 	}
-	switch {
-	case exact:
-		m.LatencyHist = hist
-		if hist.Count() > 0 {
-			m.LatencyCount = int(hist.Count())
-			m.LatencyP50 = hist.Quantile(0.50)
-			m.LatencyP99 = hist.Quantile(0.99)
-		}
-	case m.LatencyCount > 0:
-		m.LatencyP50 = time.Duration(p50w / float64(m.LatencyCount))
-		m.LatencyP99 = time.Duration(p99w / float64(m.LatencyCount))
+	m.LatencyHist = hist
+	if hist.Count() > 0 {
+		m.LatencyCount = int(hist.Count())
+		m.LatencyP50 = hist.Quantile(0.50)
+		m.LatencyP99 = hist.Quantile(0.99)
 	}
 	for _, name := range classOrder {
 		agg := classes[name]

@@ -36,7 +36,9 @@ func newFakeBackend(gate chan struct{}) *fakeBackend {
 
 func (f *fakeBackend) img(id int) *tensor.Tensor {
 	t := tensor.MustNew(1, 1, 1)
+	f.mu.Lock()
 	f.ids[t] = id
+	f.mu.Unlock()
 	return t
 }
 
@@ -47,11 +49,11 @@ func (f *fakeBackend) ClassifyBatch(imgs []*tensor.Tensor, pipes []core.Pipeline
 	f.mu.Lock()
 	f.batches = append(f.batches, append([]*tensor.Tensor(nil), imgs...))
 	f.pipes = append(f.pipes, append([]core.Pipeline(nil), pipes...))
-	f.mu.Unlock()
 	results := make([]core.Result, len(imgs))
 	for i, img := range imgs {
 		results[i] = core.Result{Class: f.ids[img]}
 	}
+	f.mu.Unlock()
 	return results, core.StageTimes{}, nil
 }
 

@@ -75,14 +75,14 @@ type Stats struct {
 
 	// ServiceTime is a rolling (EWMA, α=1/8) estimate of backend time per
 	// image — the shard's speed, independent of queueing. The shard router
-	// uses it for heterogeneity-aware weighted placement.
+	// scores a sampled pair by load × service time until both shards
+	// advertise a weight.
 	ServiceTime time.Duration `json:"service_ns"`
 
 	// AdvertisedWeight is the shard's self-computed min-max placement
 	// weight (see WeightTracker): an offered service rate in images/sec,
 	// adapted online from local queue pressure and shed rate. 0 means the
-	// shard is not advertising (no service estimate yet, or the policy is
-	// disabled); routers then fall back to static-weight scoring. In a
+	// shard is not advertising (no service estimate yet); routers then fall back to service-time scoring. In a
 	// Merge aggregate it is the fleet sum — total advertised capacity.
 	AdvertisedWeight float64 `json:"advertised_weight,omitempty"`
 

@@ -108,21 +108,36 @@ func TestSnapshotQuantiles(t *testing.T) {
 // LatencyMax take the max. TestMergeStatsHistogramExact covers the exact
 // path.
 func TestMergeStats(t *testing.T) {
+	// Shard a's samples straddle 10/30/40 ms, shard b's 20/35/60 ms; the
+	// merged quantiles must be the histogram's over all 135 samples.
+	histA, histB, all := NewHistogram(), NewHistogram(), NewHistogram()
+	for i := 0; i < 90; i++ {
+		d := []time.Duration{10 * time.Millisecond, 30 * time.Millisecond, 40 * time.Millisecond}[i%3]
+		histA.Observe(d)
+		all.Observe(d)
+	}
+	for i := 0; i < 45; i++ {
+		d := []time.Duration{20 * time.Millisecond, 35 * time.Millisecond}[i%2]
+		histB.Observe(d)
+		all.Observe(d)
+	}
 	a := Stats{
 		Submitted: 100, Rejected: 5, Expired: 2, ExpiredDispatched: 1,
 		Completed: 90, Failed: 7,
 		Batches: 20, BatchHist: []uint64{2, 3, 15},
 		QueueDepth: 1, QueueCap: 64,
-		LatencyCount: 90, LatencyP50: 10 * time.Millisecond,
-		LatencyP99: 30 * time.Millisecond, LatencyMax: 40 * time.Millisecond,
+		LatencyCount: 90, LatencyP50: histA.Quantile(0.50),
+		LatencyP99: histA.Quantile(0.99), LatencyMax: histA.Max(),
+		LatencyHist: histA,
 		BackendBusy: time.Second, Uptime: 10 * time.Second,
 	}
 	b := Stats{
 		Submitted: 50, Completed: 45, Expired: 5,
 		Batches: 15, BatchHist: []uint64{5, 10},
 		QueueDepth: 2, QueueCap: 32,
-		LatencyCount: 45, LatencyP50: 20 * time.Millisecond,
-		LatencyP99: 60 * time.Millisecond, LatencyMax: 35 * time.Millisecond,
+		LatencyCount: 45, LatencyP50: histB.Quantile(0.50),
+		LatencyP99: histB.Quantile(0.99), LatencyMax: histB.Max(),
+		LatencyHist: histB,
 		BackendBusy: 2 * time.Second, Uptime: 8 * time.Second,
 	}
 	m := Merge(a, b)
@@ -152,11 +167,9 @@ func TestMergeStats(t *testing.T) {
 	if m.LatencyCount != 135 {
 		t.Errorf("latency count %d", m.LatencyCount)
 	}
-	// Weighted p50: (10ms*90 + 20ms*45) / 135
-	p50Num := float64(10*time.Millisecond)*90 + float64(20*time.Millisecond)*45
-	wantP50 := time.Duration(p50Num / 135)
-	if m.LatencyP50 != wantP50 {
-		t.Errorf("p50 %v, want count-weighted %v", m.LatencyP50, wantP50)
+	if m.LatencyP50 != all.Quantile(0.50) || m.LatencyP99 != all.Quantile(0.99) {
+		t.Errorf("p50/p99 %v/%v, want the merged histogram's %v/%v",
+			m.LatencyP50, m.LatencyP99, all.Quantile(0.50), all.Quantile(0.99))
 	}
 	if m.LatencyMax != 40*time.Millisecond {
 		t.Errorf("max %v", m.LatencyMax)

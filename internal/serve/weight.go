@@ -28,8 +28,8 @@ import (
 //
 // Dividing by the per-image service-time EWMA makes the advertised weight
 // an offered service *rate*: a router scoring (load+1)/weight compares
-// expected completion times directly, which is exactly what the static
-// Weights × AdaptiveWeights heuristic approximates — except here the
+// expected completion times directly, which is exactly what the router's
+// own (load+1)×service-time fallback approximates — except here the
 // capacity estimate adapts online. The pressure term is the worker's
 // early-warning channel: a queue builds (and admission control sheds)
 // well before the service-time EWMA of a degrading shard converges, so
@@ -38,7 +38,7 @@ import (
 //
 // Until the first batch completes there is no service estimate and
 // Weight reports 0 — "not advertising" — so routers fall back to the
-// static-weight comparison rather than mix units.
+// service-time comparison rather than mix units.
 //
 // WeightTracker is safe for concurrent use. Updates are rate-limited by
 // MinInterval; the simulator drives Observe on a virtual clock, the

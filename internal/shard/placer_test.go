@@ -4,24 +4,6 @@ import (
 	"testing"
 )
 
-func TestNewPlacerNames(t *testing.T) {
-	for _, name := range append(PlacementNames(), "") {
-		p, err := NewPlacer(name, PlacerOptions{Seed: 1})
-		if err != nil {
-			t.Fatalf("NewPlacer(%q): %v", name, err)
-		}
-		if name != "" && p.Name() != name {
-			t.Fatalf("NewPlacer(%q).Name() = %q", name, p.Name())
-		}
-	}
-	if p, err := NewPlacer("", PlacerOptions{}); err != nil || p.Name() != PlacementWeightedP2C {
-		t.Fatalf("empty policy: got (%v, %v), want weighted-p2c", p, err)
-	}
-	if _, err := NewPlacer("bogus", PlacerOptions{}); err == nil {
-		t.Fatal("NewPlacer(bogus) did not fail")
-	}
-}
-
 // pickCounts runs n picks over cands and tallies the winners.
 func pickCounts(t *testing.T, p Placer, cands []Candidate, n int) []int {
 	t.Helper()
@@ -36,45 +18,48 @@ func pickCounts(t *testing.T, p Placer, cands []Candidate, n int) []int {
 	return counts
 }
 
-func TestP2CIgnoresCapacitySignals(t *testing.T) {
-	p, _ := NewPlacer(PlacementP2C, PlacerOptions{Seed: 1})
-	// Same load everywhere: capacity signals must not matter, so picks
-	// spread roughly evenly (ties round-robin across all three).
+// TestMinMaxPrefersAdvertisedCapacity: when both sampled shards advertise,
+// load per advertised weight decides, whatever the service times say.
+func TestMinMaxPrefersAdvertisedCapacity(t *testing.T) {
+	p := NewPlacer(1)
+	// Equal load, shard 1 advertises 10× the service rate but reports the
+	// slower service time: the advertisement must win every sampled pair.
 	cands := []Candidate{
-		{ID: 0, StaticWeight: 8, Load: 5, Service: 100, AdvertisedWeight: 100},
-		{ID: 1, StaticWeight: 1, Load: 5, Service: 900, AdvertisedWeight: 1},
-		{ID: 2, StaticWeight: 1, Load: 5, Service: 900, AdvertisedWeight: 1},
+		{ID: 0, Load: 3, Service: 100, AdvertisedWeight: 10},
+		{ID: 1, Load: 3, Service: 900, AdvertisedWeight: 100},
 	}
-	counts := pickCounts(t, p, cands, 900)
-	for i, c := range counts {
-		if c < 200 {
-			t.Fatalf("p2c skewed under equal load: counts=%v (shard %d)", counts, i)
-		}
+	counts := pickCounts(t, p, cands, 200)
+	if counts[0] != 0 {
+		t.Fatalf("advertised weights ignored: %v", counts)
 	}
-	// Unequal load: the lightest shard must dominate.
-	cands[0].Load = 0
-	counts = pickCounts(t, p, cands, 900)
-	if counts[0] < counts[1] || counts[0] < counts[2] {
-		t.Fatalf("p2c did not prefer the lightest shard: %v", counts)
+	// Load still counts: 20× the backlog outweighs 10× the capacity.
+	cands[1].Load = 80
+	counts = pickCounts(t, p, cands, 200)
+	if counts[1] != 0 {
+		t.Fatalf("load per advertised weight not compared: %v", counts)
 	}
 }
 
-func TestWeightedP2CUsesServiceOnlyWhenBothReport(t *testing.T) {
-	p, _ := NewPlacer(PlacementWeightedP2C, PlacerOptions{Seed: 1, AdaptiveWeights: true})
-	// Shard 0 is 10× slower by service time but unmeasured shard 1 exists:
-	// a pair mixing measured and unmeasured compares on load/weight alone.
+// TestPlacerUsesServiceOnlyWhenBothReport: a pair falls back from
+// advertised weights to service time only when both candidates report one;
+// a pair mixing measured and unmeasured shards compares load alone.
+func TestPlacerUsesServiceOnlyWhenBothReport(t *testing.T) {
+	p := NewPlacer(1)
+	// Shard 0 is 10× slower by service time but shard 1 is unmeasured, and
+	// shard 1 alone advertises: the pair compares on load (0 wins).
 	mixed := []Candidate{
-		{ID: 0, StaticWeight: 1, Load: 1, Service: 1000},
-		{ID: 1, StaticWeight: 1, Load: 2, Service: 0},
+		{ID: 0, Load: 1, Service: 1000},
+		{ID: 1, Load: 2, Service: 0, AdvertisedWeight: 50},
 	}
 	counts := pickCounts(t, p, mixed, 200)
 	if counts[0] == 0 || counts[1] != 0 {
-		t.Fatalf("mixed pair should fall back to load/weight (0 wins): %v", counts)
+		t.Fatalf("mixed pair should fall back to load (0 wins): %v", counts)
 	}
-	// Both measured: the slow shard loses despite equal load.
+	// Both measured, one advertising: the slow shard loses despite equal
+	// load.
 	both := []Candidate{
-		{ID: 0, StaticWeight: 1, Load: 1, Service: 1000},
-		{ID: 1, StaticWeight: 1, Load: 1, Service: 10},
+		{ID: 0, Load: 1, Service: 1000, AdvertisedWeight: 50},
+		{ID: 1, Load: 1, Service: 10},
 	}
 	counts = pickCounts(t, p, both, 200)
 	if counts[1] == 0 || counts[0] != 0 {
@@ -82,36 +67,39 @@ func TestWeightedP2CUsesServiceOnlyWhenBothReport(t *testing.T) {
 	}
 }
 
-func TestMinMaxPrefersAdvertisedCapacity(t *testing.T) {
-	p, _ := NewPlacer(PlacementMinMax, PlacerOptions{Seed: 1})
-	// Equal load, shard 1 advertises 10× the service rate: it must win
-	// every sampled pair.
+// TestPlacerTieBreaksRoundRobin: equal scores fall to the round-robin
+// cursor over the whole candidate slice, so picks spread instead of one
+// shard absorbing every tie; an unequal load still wins outright.
+func TestPlacerTieBreaksRoundRobin(t *testing.T) {
+	p := NewPlacer(1)
 	cands := []Candidate{
-		{ID: 0, StaticWeight: 1, Load: 3, AdvertisedWeight: 10},
-		{ID: 1, StaticWeight: 1, Load: 3, AdvertisedWeight: 100},
+		{ID: 0, Load: 5, Service: 100},
+		{ID: 1, Load: 5, Service: 100},
+		{ID: 2, Load: 5, Service: 100},
 	}
-	counts := pickCounts(t, p, cands, 200)
-	if counts[0] != 0 {
-		t.Fatalf("minmax ignored the advertised weights: %v", counts)
+	counts := pickCounts(t, p, cands, 900)
+	for i, c := range counts {
+		if c < 200 {
+			t.Fatalf("ties skewed: counts=%v (shard %d)", counts, i)
+		}
 	}
-	// One shard not advertising: the pair falls back to weighted scoring
-	// (equal here), so both get picked via the tie cursor.
-	cands[0].AdvertisedWeight = 0
-	counts = pickCounts(t, p, cands, 200)
-	if counts[0] == 0 || counts[1] == 0 {
-		t.Fatalf("minmax fallback pair should tie-break round-robin: %v", counts)
+	cands[0].Load = 0
+	counts = pickCounts(t, p, cands, 900)
+	if counts[0] < counts[1] || counts[0] < counts[2] {
+		t.Fatalf("the lightest shard did not dominate: %v", counts)
 	}
 }
 
+// TestPlacerDeterministic: the same seed over the same candidates gives the
+// same pick sequence, ties included.
 func TestPlacerDeterministic(t *testing.T) {
 	cands := []Candidate{
-		{ID: 0, StaticWeight: 1, Load: 1},
-		{ID: 1, StaticWeight: 1, Load: 2},
-		{ID: 2, StaticWeight: 1, Load: 3},
-		{ID: 3, StaticWeight: 1, Load: 1},
+		{ID: 0, Load: 1},
+		{ID: 1, Load: 2},
+		{ID: 2, Load: 3},
+		{ID: 3, Load: 1},
 	}
-	a, _ := NewPlacer(PlacementP2C, PlacerOptions{Seed: 42})
-	b, _ := NewPlacer(PlacementP2C, PlacerOptions{Seed: 42})
+	a, b := NewPlacer(42), NewPlacer(42)
 	for k := 0; k < 1000; k++ {
 		if ia, ib := a.Pick(cands), b.Pick(cands); ia != ib {
 			t.Fatalf("pick %d diverged under the same seed: %d vs %d", k, ia, ib)

@@ -5,20 +5,16 @@
 //
 // # Placement
 //
-// Placement is power-of-two-choices behind a pluggable policy (the Placer
-// interface, selected by Config.Placement): two distinct routable shards
-// are sampled and the one with the lower score wins. A shard's load is
-// what the router has in flight to it plus the queue depth it last
-// reported on /healthz. The default weighted-p2c policy scores load per
-// static capacity weight (Config.Weights), optionally scaled by the
-// rolling per-image service time each worker exports
-// (Config.AdaptiveWeights), so on heterogeneous hardware the router
-// equalises expected completion time rather than raw queue depth. The
-// minmax policy goes further: each worker adapts its own advertised
-// weight online from local pressure (serve.WeightTracker) and the router
-// scores load per advertised service rate — decentralized min-max
-// placement with zero added coordination. Equal scores fall back to the
-// round-robin cursor.
+// Placement is one rule, decentralized min-max over power-of-two-choices
+// (NewPlacer): two distinct routable shards are sampled and the one with
+// the lower score wins. A shard's load is what the router has in flight to
+// it plus the queue depth it last reported on /healthz. Each worker adapts
+// its own advertised weight online from local pressure
+// (serve.WeightTracker), and when both sampled shards advertise the router
+// scores load per advertised service rate — min-max placement with zero
+// added coordination. Until both advertise, a pair is scored by load times
+// the per-image service time each worker reports, and until both report
+// one, by load alone. Equal scores fall back to the round-robin cursor.
 //
 // Placement is service-class aware: workers report per-class queue depths
 // on /healthz and a request's load signal counts only the backlog its
@@ -46,8 +42,13 @@
 // breaker. RestartMax consecutive failed or short-lived restarts mark the
 // shard permanently down: it leaves placement for good but stays in /stats
 // so dashboards see fleet size. Attached (remote) workers have no process
-// to watch; Config.OnShardDown fires after an outage outlasts DownAfter and
-// ReplaceShard swaps in a replacement URL.
+// to watch: the breaker keeps them out of placement until a probe succeeds
+// again.
+//
+// Every worker response body the router reads (/classify, /healthz, /stats,
+// /debug/requests) is capped at maxBodyBytes, the bound already applied to
+// client bodies, so a misbehaving worker cannot make the router allocate
+// without limit; an over-limit body counts as a failed attempt.
 //
 // # Stats
 //
@@ -91,22 +92,6 @@ type Config struct {
 	// comfortably above a worker's own per-request deadline, so the worker's
 	// 504 wins over the router's.
 	RequestTimeout time.Duration
-	// Weights are static per-shard capacity weights for placement: a shard
-	// with weight 2 is expected to absorb twice the load of a weight-1
-	// shard. Nil means all 1; otherwise the length must equal the shard
-	// count and every weight must be > 0.
-	Weights []float64
-	// AdaptiveWeights scales placement by each worker's rolling per-image
-	// service-time estimate (the service_ns it reports on /healthz), so a
-	// shard on slower hardware is offered proportionally less work even
-	// with equal static weights. Shards that have not reported an estimate
-	// yet are compared on load/weight alone.
-	AdaptiveWeights bool
-	// Placement selects the placement policy: "p2c", "weighted-p2c"
-	// (default) or "minmax" — see the Placement constants and Placer. The
-	// empty string means weighted-p2c, which with nil Weights and
-	// AdaptiveWeights off behaves exactly like plain p2c.
-	Placement string
 	// RestartMax bounds consecutive restart attempts for a spawned worker
 	// before its shard is marked permanently down. A run longer than
 	// 10×RestartBackoff resets the budget. 0 selects the default (5);
@@ -119,15 +104,6 @@ type Config struct {
 	RestartBackoff time.Duration
 	// RestartBackoffMax caps the exponential respawn backoff. Default 5s.
 	RestartBackoffMax time.Duration
-	// DownAfter is how long an attached shard's breaker must stay open
-	// before OnShardDown fires (once per outage). 0 disables the callback.
-	// Spawned shards are respawned instead and never trigger it.
-	DownAfter time.Duration
-	// OnShardDown is the replacement hook for attached workers: called (in
-	// its own goroutine) when an attached shard has been unreachable for
-	// DownAfter, so an operator or control plane can provision a
-	// replacement and install it with ReplaceShard.
-	OnShardDown func(id int, url string)
 	// Client overrides the HTTP client used for proxying and probing.
 	Client *http.Client
 	// Logf sinks router events (breaker transitions, failovers, worker
@@ -159,6 +135,10 @@ type Config struct {
 // uses, so client churn stays out of 502/503 accounting at both tiers.
 const statusClientClosedRequest = 499
 
+// maxBodyBytes bounds every HTTP body the router reads: client requests and
+// worker responses alike.
+const maxBodyBytes = 16 << 20
+
 func (c Config) withDefaults() Config {
 	if c.HealthInterval == 0 {
 		c.HealthInterval = 250 * time.Millisecond
@@ -187,26 +167,37 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// validateWeights checks a Config.Weights slice against the shard count.
-func validateWeights(weights []float64, n int) error {
-	if weights == nil {
-		return nil
-	}
-	if len(weights) != n {
-		return fmt.Errorf("shard: %d weights for %d shards", len(weights), n)
-	}
-	for i, w := range weights {
-		if w <= 0 {
-			return fmt.Errorf("shard: weight %d is %v, must be > 0", i, w)
+// readWorkerBody reads a worker response body of at most maxBodyBytes; a
+// longer body is an error, never a truncated success. The body is read into
+// chunks that double from 512 B up to 1 MiB and are joined once the body
+// ends, so rejecting an over-limit body allocates about the limit, not the
+// several-fold geometric growth of one io.ReadAll buffer.
+func readWorkerBody(body io.Reader) ([]byte, error) {
+	var chunks [][]byte
+	total, size := 0, 512
+	for {
+		chunk := make([]byte, size)
+		n, err := io.ReadFull(body, chunk)
+		total += n
+		if total > maxBodyBytes {
+			return nil, fmt.Errorf("worker response body exceeds %d bytes", maxBodyBytes)
+		}
+		chunks = append(chunks, chunk[:n])
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return bytes.Join(chunks, nil), nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if size < 1<<20 {
+			size *= 2
 		}
 	}
-	return nil
 }
 
 // shardState is one worker replica as the router sees it.
 type shardState struct {
-	id     int
-	weight float64 // static capacity weight, immutable after construction
+	id int
 
 	inflight atomic.Int64  // router-side requests currently proxied to this shard
 	depth    atomic.Int64  // queue depth last reported by /healthz
@@ -215,38 +206,25 @@ type shardState struct {
 	restarts atomic.Uint64 // successful supervisor respawns
 
 	// classDepth is the per-class queue depth the shard last reported on
-	// /healthz (indexed by serve.Class); hasClassDepths records whether the
-	// worker reports the split at all, so placement can fall back to the
-	// total depth against an older worker.
-	classDepth     [serve.NumClasses]atomic.Int64
-	hasClassDepths atomic.Bool
+	// /healthz (indexed by serve.Class).
+	classDepth [serve.NumClasses]atomic.Int64
 
-	mu           sync.Mutex
-	url          string      // base URL, no trailing slash; rewritten on respawn
-	proc         *workerProc // non-nil only for spawned workers; rewritten on respawn
-	open         bool        // circuit open: excluded from placement
-	down         bool        // permanently down: restart budget exhausted
-	consecFails  int
-	opens        uint64    // breaker open transitions
-	closes       uint64    // breaker close (re-admission) transitions
-	openSince    time.Time // when the current outage opened the breaker
-	downNotified bool      // OnShardDown already fired for this outage
+	mu          sync.Mutex
+	url         string      // base URL, no trailing slash; rewritten on respawn
+	proc        *workerProc // non-nil only for spawned workers; rewritten on respawn
+	open        bool        // circuit open: excluded from placement
+	down        bool        // permanently down: restart budget exhausted
+	consecFails int
+	opens       uint64 // breaker open transitions
+	closes      uint64 // breaker close (re-admission) transitions
 }
-
-// load is the class-blind placement signal: what the router has in flight
-// to the shard plus the scheduler backlog the shard last admitted to.
-func (s *shardState) load() int64 { return s.inflight.Load() + s.depth.Load() }
 
 // classLoad is the placement signal for a request of class c: router
 // inflight plus the backlog the shard will dispatch at the same or higher
 // priority than c. A guaranteed request only competes with the guaranteed
 // queue; a budget request waits behind everything, so its effective depth
-// is the whole backlog. Workers that do not report the class split fall
-// back to the total depth.
+// is the whole backlog.
 func (s *shardState) classLoad(c serve.Class) int64 {
-	if !s.hasClassDepths.Load() {
-		return s.load()
-	}
 	d := s.inflight.Load()
 	for i := serve.ClassGuaranteed; i <= c && i.Valid(); i++ {
 		d += s.classDepth[i].Load()
@@ -274,17 +252,11 @@ func (s *shardState) adopt(p *workerProc, url string) {
 	s.proc = p
 	s.url = url
 	s.mu.Unlock()
-	s.resetLoadSignals()
-}
-
-// resetLoadSignals clears the probe-reported load state after the shard's
-// worker is swapped out (respawn or replacement); the next probe of the new
-// process repopulates it.
-func (s *shardState) resetLoadSignals() {
+	// Clear the probe-reported load state of the old process; the next
+	// probe of the new one repopulates it.
 	s.depth.Store(0)
 	s.service.Store(0)
 	s.setAdvWeight(0)
-	s.hasClassDepths.Store(false)
 	for i := range s.classDepth {
 		s.classDepth[i].Store(0)
 	}
@@ -330,7 +302,6 @@ func (s *shardState) recordFailure(threshold int) bool {
 	if !s.open && s.consecFails >= threshold {
 		s.open = true
 		s.opens++
-		s.openSince = time.Now()
 		return true
 	}
 	return false
@@ -342,28 +313,12 @@ func (s *shardState) recordSuccess() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.consecFails = 0
-	s.downNotified = false
 	if s.open {
 		s.open = false
 		s.closes++
 		return true
 	}
 	return false
-}
-
-// shouldNotifyDown reports (once per outage) that an attached shard's
-// breaker has been open longer than after.
-func (s *shardState) shouldNotifyDown(after time.Duration) bool {
-	if after <= 0 {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.proc != nil || !s.open || s.downNotified || time.Since(s.openSince) < after {
-		return false
-	}
-	s.downNotified = true
-	return true
 }
 
 func (s *shardState) breakerCounts() (opens, closes uint64) {
@@ -386,7 +341,7 @@ type Router struct {
 	binArgs []string
 	superWG sync.WaitGroup
 
-	placer Placer // placement policy (Config.Placement)
+	placer Placer
 
 	proxied   atomic.Uint64 // client requests proxied (any outcome)
 	failovers atomic.Uint64 // requests saved by the second attempt
@@ -408,12 +363,6 @@ func New(urls []string, cfg Config) (*Router, error) {
 	if len(urls) == 0 {
 		return nil, fmt.Errorf("shard: router needs at least one worker URL")
 	}
-	if err := validateWeights(cfg.Weights, len(urls)); err != nil {
-		return nil, err
-	}
-	if _, err := NewPlacer(cfg.Placement, PlacerOptions{}); err != nil {
-		return nil, err
-	}
 	shards := make([]*shardState, len(urls))
 	for i, u := range urls {
 		nu, err := normalizeURL(u)
@@ -431,23 +380,11 @@ func newRouter(shards []*shardState, cfg Config) *Router {
 	if client == nil {
 		client = &http.Client{Timeout: cfg.RequestTimeout}
 	}
-	for i, s := range shards {
-		s.weight = 1
-		if cfg.Weights != nil {
-			s.weight = cfg.Weights[i]
-		}
-	}
-	// Placement was validated by New/Spawn; an error here is internal
-	// misuse of newRouter, so fail loud.
-	placer, err := NewPlacer(cfg.Placement, PlacerOptions{Seed: cfg.Seed, AdaptiveWeights: cfg.AdaptiveWeights})
-	if err != nil {
-		panic(err)
-	}
 	r := &Router{
 		cfg:    cfg,
 		client: client,
 		shards: shards,
-		placer: placer,
+		placer: NewPlacer(cfg.Seed),
 		rec:    obs.NewRecorder(cfg.TraceDepth),
 		stop:   make(chan struct{}),
 		probed: make(chan struct{}),
@@ -487,38 +424,6 @@ func normalizeURL(u string) (string, error) {
 // Shards returns the number of worker shards (healthy or not).
 func (r *Router) Shards() int { return len(r.shards) }
 
-// ReplaceShard points shard id at a replacement worker URL — the manual
-// counterpart of the automatic respawn, for attached (remote) workers whose
-// replacement the router cannot provision itself. The shard's
-// permanently-down flag and failure streak are cleared; re-admission still
-// goes through the circuit breaker, so traffic returns only after the
-// replacement answers a probe. Spawned shards are supervised and refuse
-// replacement.
-func (r *Router) ReplaceShard(id int, newURL string) error {
-	if id < 0 || id >= len(r.shards) {
-		return fmt.Errorf("shard: no shard %d", id)
-	}
-	nu, err := normalizeURL(newURL)
-	if err != nil {
-		return fmt.Errorf("shard: replacement for shard %d: %w", id, err)
-	}
-	s := r.shards[id]
-	s.mu.Lock()
-	if s.proc != nil {
-		s.mu.Unlock()
-		return fmt.Errorf("shard: shard %d is a spawned worker; the supervisor owns its lifecycle", id)
-	}
-	old := s.url
-	s.url = nu
-	s.down = false
-	s.consecFails = 0
-	s.downNotified = false
-	s.mu.Unlock()
-	s.resetLoadSignals()
-	r.cfg.Logf("shard: shard %d replaced: %s -> %s", id, old, nu)
-	return nil
-}
-
 // WaitReady blocks until the first full health-probe round has completed
 // (whatever its outcomes — an unreachable fleet still "readies" so the
 // caller can start serving 502s rather than hang), or until ctx expires.
@@ -541,7 +446,6 @@ func (r *Router) WaitReady(ctx context.Context) error {
 func (s *shardState) candidate(c serve.Class) Candidate {
 	return Candidate{
 		ID:               s.id,
-		StaticWeight:     s.weight,
 		Load:             s.classLoad(c),
 		Service:          s.service.Load(),
 		AdvertisedWeight: s.advWeight(),
@@ -550,8 +454,7 @@ func (s *shardState) candidate(c serve.Class) Candidate {
 
 // pick chooses a target shard for a request of class c, excluding `not`
 // (the shard a failed first attempt used). The routable set goes to the
-// configured Placer — power-of-two-choices under the selected scoring
-// policy. With every breaker open the router still picks among
+// Placer. With every breaker open the router still picks among
 // non-permanently-down shards (whatever the placer makes of what is
 // left): a guess at a possibly-recovered shard beats a guaranteed error.
 // Returns nil only when every shard is permanently down.
@@ -672,7 +575,7 @@ func (r *Router) handleClassify(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set(obs.RouterSpansHeader, obs.FormatSpans(spans))
 		r.finishTrace(rec, errMsg)
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, 16<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxBodyBytes))
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("read body: %v", err)})
 		return
@@ -741,9 +644,9 @@ func (r *Router) handleClassify(w http.ResponseWriter, req *http.Request) {
 }
 
 // forward issues one attempt against one shard and does the breaker
-// bookkeeping: transport errors count toward opening, any response counts
-// as shard liveness. A 503 is a live shard shedding load — failover-worthy
-// but not breaker-worthy. An abort caused by the client (parent context
+// bookkeeping: transport errors and over-limit bodies count toward opening,
+// any other response counts as shard liveness. A 503 is a live shard
+// shedding load — failover-worthy but not breaker-worthy. An abort caused by the client (parent context
 // done) is no evidence against the shard, so it never touches the breaker:
 // otherwise a few impatient clients could circuit-break a healthy fleet.
 func (r *Router) forward(parent context.Context, s *shardState, trace string, class serve.Class, body []byte) (int, http.Header, []byte, error) {
@@ -771,7 +674,7 @@ func (r *Router) forward(parent context.Context, s *shardState, trace string, cl
 		return 0, nil, nil, err
 	}
 	defer resp.Body.Close()
-	respBody, err := io.ReadAll(resp.Body)
+	respBody, err := readWorkerBody(resp.Body)
 	if err != nil {
 		if parent.Err() == nil {
 			if opened := s.recordFailure(r.cfg.BreakerThreshold); opened {
@@ -861,10 +764,12 @@ func (r *Router) probe(s *shardState) {
 			AdvertisedWeight float64          `json:"advertised_weight"`
 			ClassQueueDepths map[string]int64 `json:"class_queue_depths"`
 		}
-		decodeErr := json.NewDecoder(resp.Body).Decode(&health)
-		io.Copy(io.Discard, resp.Body)
+		data, readErr := readWorkerBody(resp.Body)
 		resp.Body.Close()
-		if decodeErr == nil && resp.StatusCode == http.StatusOK {
+		if readErr == nil {
+			readErr = json.Unmarshal(data, &health)
+		}
+		if readErr == nil && resp.StatusCode == http.StatusOK {
 			s.depth.Store(health.QueueDepth)
 			if health.ServiceNS > 0 {
 				s.service.Store(health.ServiceNS)
@@ -872,46 +777,36 @@ func (r *Router) probe(s *shardState) {
 			if health.AdvertisedWeight >= 0 {
 				s.setAdvWeight(health.AdvertisedWeight)
 			}
-			if health.ClassQueueDepths != nil {
-				for _, c := range serve.Classes {
-					s.classDepth[c].Store(health.ClassQueueDepths[c.String()])
-				}
-				s.hasClassDepths.Store(true)
+			for _, c := range serve.Classes {
+				s.classDepth[c].Store(health.ClassQueueDepths[c.String()])
 			}
 			if readmitted := s.recordSuccess(); readmitted {
 				r.cfg.Logf("shard: circuit CLOSED on shard %d (%s): probe succeeded", s.id, s.base())
 			}
 			return
 		}
-		err = fmt.Errorf("healthz status %d (decode: %v)", resp.StatusCode, decodeErr)
+		err = fmt.Errorf("healthz status %d (read: %v)", resp.StatusCode, readErr)
 	}
 	if opened := s.recordFailure(r.cfg.BreakerThreshold); opened {
 		r.cfg.Logf("shard: circuit OPEN on shard %d (%s): %v", s.id, s.base(), err)
-	}
-	if r.cfg.OnShardDown != nil && s.shouldNotifyDown(r.cfg.DownAfter) {
-		r.cfg.Logf("shard: attached shard %d (%s) unreachable for %v — invoking OnShardDown",
-			s.id, s.base(), r.cfg.DownAfter)
-		go r.cfg.OnShardDown(s.id, s.base())
 	}
 }
 
 // ShardStatus is one shard's entry in the /stats report.
 type ShardStatus struct {
-	ID      int     `json:"id"`
-	URL     string  `json:"url"`
-	Healthy bool    `json:"healthy"` // breaker closed and not permanently down
-	Weight  float64 `json:"weight"`
+	ID      int    `json:"id"`
+	URL     string `json:"url"`
+	Healthy bool   `json:"healthy"` // breaker closed and not permanently down
 	// ServiceTime is the per-image service time the shard last reported,
-	// the adaptive-placement signal.
+	// the placement signal until both sampled shards advertise a weight.
 	ServiceTime time.Duration `json:"service_ns"`
 	// AdvertisedWeight is the min-max placement weight the shard last
-	// reported on /healthz (0 = not advertising), the `-placement minmax`
-	// signal.
+	// reported on /healthz (0 = not advertising).
 	AdvertisedWeight float64 `json:"advertised_weight,omitempty"`
 	Inflight         int64   `json:"inflight"`
 	QueueDepth       int64   `json:"queue_depth"` // last /healthz report
 	// ClassQueueDepths is the per-class queue-depth split the shard last
-	// reported on /healthz (absent against a worker that predates classes).
+	// reported on /healthz.
 	ClassQueueDepths map[string]int64 `json:"class_queue_depths,omitempty"`
 	BreakerOpens     uint64           `json:"breaker_opens"`
 	BreakerCloses    uint64           `json:"breaker_closes"`
@@ -956,18 +851,15 @@ func (r *Router) Report(ctx context.Context) StatsReport {
 			defer wg.Done()
 			st := ShardStatus{
 				ID: s.id, URL: s.base(), Healthy: s.healthy(),
-				Weight:           s.weight,
 				ServiceTime:      time.Duration(s.service.Load()),
 				AdvertisedWeight: s.advWeight(),
 				Inflight:         s.inflight.Load(), QueueDepth: s.depth.Load(),
-				Restarts:        s.restarts.Load(),
-				PermanentlyDown: s.isDown(),
+				Restarts:         s.restarts.Load(),
+				PermanentlyDown:  s.isDown(),
+				ClassQueueDepths: make(map[string]int64, serve.NumClasses),
 			}
-			if s.hasClassDepths.Load() {
-				st.ClassQueueDepths = make(map[string]int64, serve.NumClasses)
-				for _, c := range serve.Classes {
-					st.ClassQueueDepths[c.String()] = s.classDepth[c].Load()
-				}
+			for _, c := range serve.Classes {
+				st.ClassQueueDepths[c.String()] = s.classDepth[c].Load()
 			}
 			st.BreakerOpens, st.BreakerCloses = s.breakerCounts()
 			stats, err := r.fetchStats(ctx, s)
@@ -1028,8 +920,12 @@ func (r *Router) fetchStats(ctx context.Context, s *shardState) (*serve.Stats, e
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("stats status %d", resp.StatusCode)
 	}
+	data, err := readWorkerBody(resp.Body)
+	if err != nil {
+		return nil, err
+	}
 	var st serve.Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if err := json.Unmarshal(data, &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
@@ -1053,7 +949,6 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	p.Counter("hybridnet_router_failovers_total", "Requests served by the second attempt after the first shard failed.", float64(rep.Failovers))
 	p.Counter("hybridnet_router_errors_total", "Requests that surfaced a transport error to the client.", float64(rep.Errors))
 	p.Gauge("hybridnet_router_shards", "Configured fleet size (healthy or not).", float64(len(rep.Shards)))
-	p.Info("hybridnet_router_placement", "Active placement policy (label `policy`).", obs.Label{Name: "policy", Value: r.placer.Name()})
 	p.Gauge("hybridnet_router_healthy_shards", "Shards currently routable (breaker closed, not permanently down).", float64(rep.HealthyShards))
 	for _, sh := range rep.Shards {
 		l := obs.Label{Name: "shard", Value: strconv.Itoa(sh.ID)}
@@ -1066,15 +961,10 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 		p.Gauge("hybridnet_shard_inflight", "Requests the router currently has in flight to this shard.", float64(sh.Inflight), l)
 		p.Gauge("hybridnet_shard_queue_depth", "Queue depth the shard last reported on /healthz.", float64(sh.QueueDepth), l)
 		for _, c := range serve.Classes {
-			d, ok := sh.ClassQueueDepths[c.String()]
-			if !ok {
-				continue
-			}
 			p.Gauge("hybridnet_shard_class_queue_depth", "Per-class queue depth the shard last reported on /healthz.",
-				float64(d), l, obs.Label{Name: "class", Value: c.String()})
+				float64(sh.ClassQueueDepths[c.String()]), l, obs.Label{Name: "class", Value: c.String()})
 		}
-		p.Gauge("hybridnet_shard_weight", "Static placement capacity weight.", sh.Weight, l)
-		p.Gauge("hybridnet_shard_service_time_seconds", "Per-image service time the shard last reported (adaptive-placement signal).", sh.ServiceTime.Seconds(), l)
+		p.Gauge("hybridnet_shard_service_time_seconds", "Per-image service time the shard last reported (placement signal until both sampled shards advertise).", sh.ServiceTime.Seconds(), l)
 		p.Gauge("hybridnet_shard_advertised_weight", "Min-max placement weight the shard last reported on /healthz (0 = not advertising).", sh.AdvertisedWeight, l)
 	}
 	if err := p.Err(); err != nil {
@@ -1130,13 +1020,17 @@ func (r *Router) fetchDump(ctx context.Context, s *shardState) (obs.RecorderDump
 	if resp.StatusCode != http.StatusOK {
 		return dump, fmt.Errorf("debug/requests status %d", resp.StatusCode)
 	}
-	err = json.NewDecoder(resp.Body).Decode(&dump)
+	data, err := readWorkerBody(resp.Body)
+	if err != nil {
+		return dump, err
+	}
+	err = json.Unmarshal(data, &dump)
 	return dump, err
 }
 
 func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 	healthy, down := 0, 0
-	var classDepths map[string]int64
+	classDepths := make(map[string]int64, serve.NumClasses)
 	for _, s := range r.shards {
 		if s.healthy() {
 			healthy++
@@ -1144,23 +1038,17 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 		if s.isDown() {
 			down++
 		}
-		if s.hasClassDepths.Load() {
-			if classDepths == nil {
-				classDepths = make(map[string]int64, serve.NumClasses)
-			}
-			for _, c := range serve.Classes {
-				classDepths[c.String()] += s.classDepth[c].Load()
-			}
+		for _, c := range serve.Classes {
+			classDepths[c.String()] += s.classDepth[c].Load()
 		}
 	}
 	status := http.StatusOK
+	// class_queue_depths is the fleet-wide per-class backlog, same shape as a
+	// worker's report, so a front tier can stack routers the way routers
+	// stack workers.
 	body := map[string]any{
 		"status": "ok", "shards": len(r.shards), "healthy": healthy, "down": down,
-	}
-	if classDepths != nil {
-		// Fleet-wide per-class backlog, same shape as a worker's report, so a
-		// front tier can stack routers the way routers stack workers.
-		body["class_queue_depths"] = classDepths
+		"class_queue_depths": classDepths,
 	}
 	if healthy == 0 {
 		status = http.StatusServiceUnavailable

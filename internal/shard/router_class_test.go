@@ -30,7 +30,6 @@ type classWorker struct {
 	shed       atomic.Bool
 	depth      atomic.Int64
 	classDepth [serve.NumClasses]atomic.Int64
-	reportCls  atomic.Bool // include class_queue_depths in /healthz
 }
 
 func startClassWorker(t *testing.T, name string) *classWorker {
@@ -58,10 +57,6 @@ func startClassWorker(t *testing.T, name string) *classWorker {
 	})
 	mux.HandleFunc("/healthz", func(rw http.ResponseWriter, r *http.Request) {
 		rw.Header().Set("Content-Type", "application/json")
-		if !w.reportCls.Load() {
-			fmt.Fprintf(rw, `{"status":"ok","queue_depth":%d,"service_ns":0}`, w.depth.Load())
-			return
-		}
 		fmt.Fprintf(rw, `{"status":"ok","queue_depth":%d,"service_ns":0,"class_queue_depths":{"guaranteed":%d,"fast":%d,"budget":%d}}`,
 			w.depth.Load(),
 			w.classDepth[serve.ClassGuaranteed].Load(),
@@ -203,13 +198,11 @@ func TestRouterClassAwarePlacement(t *testing.T) {
 	a := startClassWorker(t, "a")
 	a.depth.Store(50)
 	a.classDepth[serve.ClassBudget].Store(50)
-	a.reportCls.Store(true)
 	// Shard B: modest guaranteed+fast backlog, no budget. Total depth 8.
 	b := startClassWorker(t, "b")
 	b.depth.Store(8)
 	b.classDepth[serve.ClassGuaranteed].Store(4)
 	b.classDepth[serve.ClassFast].Store(4)
-	b.reportCls.Store(true)
 	r, err := New([]string{a.addr, b.addr}, testConfig(t))
 	if err != nil {
 		t.Fatal(err)

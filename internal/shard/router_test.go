@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -25,9 +26,9 @@ import (
 type testWorker struct {
 	t     *testing.T
 	addr  string
-	depth atomic.Int64 // queue depth reported by /healthz
+	depth atomic.Int64 // guaranteed-class queue depth reported by /healthz
 	delay atomic.Int64 // per-classify latency, ns
-	svc   atomic.Int64 // service_ns reported by /healthz (adaptive placement)
+	svc   atomic.Int64 // service_ns reported by /healthz
 
 	mu  sync.Mutex
 	srv *http.Server
@@ -69,8 +70,9 @@ func (w *testWorker) serveOn(ln net.Listener) {
 	})
 	mux.HandleFunc("/healthz", func(rw http.ResponseWriter, r *http.Request) {
 		rw.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(rw, `{"status":"ok","queue_depth":%d,"service_ns":%d}`,
-			w.depth.Load(), w.svc.Load())
+		d := w.depth.Load()
+		fmt.Fprintf(rw, `{"status":"ok","queue_depth":%d,"service_ns":%d,"class_queue_depths":{"guaranteed":%d,"fast":0,"budget":0}}`,
+			d, w.svc.Load(), d)
 	})
 	mux.HandleFunc("/stats", func(rw http.ResponseWriter, r *http.Request) {
 		n := w.classified.Load()
@@ -451,44 +453,17 @@ func TestRouterAllShardsDown(t *testing.T) {
 	})
 }
 
-// TestRouterWeightedPlacement: with static capacity weights 1 vs 3 and no
-// other load signal, sequential requests must all land on the heavier
-// shard — (load+1)/weight is strictly lower there whenever both are idle.
-func TestRouterWeightedPlacement(t *testing.T) {
-	a := startTestWorker(t)
-	b := startTestWorker(t)
-	cfg := testConfig(t)
-	cfg.Weights = []float64{1, 3}
-	_, front := newTestRouter(t, cfg, a, b)
-
-	client := &http.Client{Timeout: 5 * time.Second}
-	const n = 30
-	for i := 0; i < n; i++ {
-		if err := classifyOK(client, front.URL); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := b.classified.Load(); got != n {
-		t.Fatalf("weight-3 shard served %d of %d", got, n)
-	}
-	if got := a.classified.Load(); got != 0 {
-		t.Fatalf("weight-1 shard served %d, want 0 while the heavy shard is idle", got)
-	}
-}
-
-// TestRouterAdaptivePlacement: with AdaptiveWeights on, a shard reporting
-// 4× the per-image service time must lose every idle-fleet pick to the
-// faster shard — the router equalises expected completion time, not queue
-// depth. A shard without an estimate is compared on load alone, so a
-// half-measured fleet keeps the old behaviour (pinned by the tie test).
+// TestRouterAdaptivePlacement: with no shard advertising a min-max weight,
+// a shard reporting 4× the per-image service time must lose every
+// idle-fleet pick to the faster shard — the router equalises expected
+// completion time, not queue depth. A shard without an estimate is
+// compared on load alone (pinned by the tie test).
 func TestRouterAdaptivePlacement(t *testing.T) {
 	slow := startTestWorker(t)
 	fast := startTestWorker(t)
 	slow.svc.Store(int64(4 * time.Millisecond))
 	fast.svc.Store(int64(time.Millisecond))
-	cfg := testConfig(t)
-	cfg.AdaptiveWeights = true
-	_, front := newTestRouter(t, cfg, slow, fast)
+	_, front := newTestRouter(t, testConfig(t), slow, fast)
 
 	client := &http.Client{Timeout: 5 * time.Second}
 	const n = 30
@@ -505,60 +480,51 @@ func TestRouterAdaptivePlacement(t *testing.T) {
 	}
 }
 
-// TestRouterReplaceShard is the attached-worker half of self-healing: the
-// router cannot respawn a remote process, so after DownAfter it fires
-// OnShardDown, and ReplaceShard installs the replacement URL — which still
-// rejoins through the circuit breaker.
-func TestRouterReplaceShard(t *testing.T) {
-	a := startTestWorker(t)
-	b := startTestWorker(t)
-	replacement := startTestWorker(t)
-	notified := make(chan int, 1)
-	cfg := testConfig(t)
-	cfg.DownAfter = 50 * time.Millisecond
-	cfg.OnShardDown = func(id int, url string) {
-		select {
-		case notified <- id:
-		default:
-		}
-	}
-	router, front := newTestRouter(t, cfg, a, b)
-
-	client := &http.Client{Timeout: 5 * time.Second}
-	a.Stop()
-	waitFor(t, "OnShardDown for shard 0", func() bool {
-		select {
-		case id := <-notified:
-			return id == 0
-		default:
-			return false
+// TestRouterBoundsWorkerBody: a worker that streams a 64 MiB /classify
+// response must cost the router a failed attempt (502 here, with no other
+// shard to fail over to), not 64 MiB of buffering.
+func TestRouterBoundsWorkerBody(t *testing.T) {
+	block := bytes.Repeat([]byte("x"), 64<<10)
+	mux := http.NewServeMux()
+	mux.HandleFunc("/healthz", func(rw http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(rw, `{"status":"ok","queue_depth":0}`)
+	})
+	mux.HandleFunc("/classify", func(rw http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		rw.Header().Set("Content-Type", "application/json")
+		for i := 0; i < (64<<20)/len(block); i++ {
+			if _, err := rw.Write(block); err != nil {
+				return // the router hung up at its bound
+			}
 		}
 	})
-	// Traffic keeps flowing through the survivor meanwhile.
-	if err := classifyOK(client, front.URL); err != nil {
+	worker := httptest.NewServer(mux)
+	defer worker.Close()
+	r, err := New([]string{worker.URL}, testConfig(t))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := router.ReplaceShard(0, replacement.addr); err != nil {
+	defer shutdownRouter(t, r)
+	front := startFront(t, r)
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	resp, err := http.Post(front+"/classify", "application/json",
+		bytes.NewReader([]byte(`{"sign":"stop","seed":1}`)))
+	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "replacement re-admitted", func() bool {
-		rep := routerReport(t, front.URL)
-		return rep.Shards[0].Healthy && rep.Shards[0].URL == "http://"+replacement.addr
-	})
-	// Replacement shard serves: push traffic until it has handled some.
-	waitFor(t, "replacement serving", func() bool {
-		if err := classifyOK(client, front.URL); err != nil {
-			t.Fatal(err)
-		}
-		return replacement.classified.Load() > 0
-	})
-
-	// Guard rails: bad ids and URLs are refused.
-	if err := router.ReplaceShard(7, replacement.addr); err == nil {
-		t.Error("out-of-range shard id accepted")
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	runtime.ReadMemStats(&after)
+	if resp.StatusCode != http.StatusBadGateway {
+		t.Errorf("oversized worker body: status %d, want 502", resp.StatusCode)
 	}
-	if err := router.ReplaceShard(0, ""); err == nil {
-		t.Error("empty replacement URL accepted")
+	grew := after.TotalAlloc - before.TotalAlloc
+	t.Logf("allocated %d KiB around an over-limit worker body", grew>>10)
+	if grew >= 32<<20 {
+		t.Errorf("router allocated %d MiB reading a 64 MiB worker body, want < 32 MiB", grew>>20)
 	}
 }
 
@@ -572,12 +538,6 @@ func TestRouterValidation(t *testing.T) {
 	}
 	if _, err := Spawn("/bin/true", 0, nil, Config{}); err == nil {
 		t.Error("zero workers accepted")
-	}
-	if _, err := New([]string{"127.0.0.1:1", "127.0.0.1:2"}, Config{Weights: []float64{1}}); err == nil {
-		t.Error("weight count mismatch accepted")
-	}
-	if _, err := New([]string{"127.0.0.1:1"}, Config{Weights: []float64{-1}}); err == nil {
-		t.Error("non-positive weight accepted")
 	}
 	// Scheme-less URLs are normalised.
 	r, err := New([]string{"127.0.0.1:9/"}, Config{Logf: t.Logf})

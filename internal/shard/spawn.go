@@ -38,12 +38,6 @@ func Spawn(bin string, n int, extraArgs []string, cfg Config) (*Router, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shard: need at least 1 worker, got %d", n)
 	}
-	if err := validateWeights(cfg.Weights, n); err != nil {
-		return nil, err
-	}
-	if _, err := NewPlacer(cfg.Placement, PlacerOptions{}); err != nil {
-		return nil, err
-	}
 	logf := cfg.withDefaults().Logf
 	shards := make([]*shardState, 0, n)
 	kill := func() {

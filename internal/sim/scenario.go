@@ -1,12 +1,12 @@
 // Package sim is the deterministic fleet simulator behind placement
 // development: scripted fake shards (piecewise service-time curves — step
 // changes, ramps, adversarial flapping, heterogeneous fleets), a seeded
-// virtual clock, and the *real* placement code (shard.Placer, fed by the
+// virtual clock, and the *real* placement code (shard.NewPlacer, fed by the
 // real serve.WeightTracker) driven through discrete-event simulation. A
-// full multi-second scenario runs in milliseconds of wall time, so
-// head-to-head policy comparisons (p50/p99/p999 from the real mergeable
-// histograms) run in CI on every build, and the same seed always produces
-// a byte-identical report.
+// full multi-second scenario runs in milliseconds of wall time, so the
+// scenario suite (p50/p99/p999 from the real mergeable histograms, gated in
+// the tests against reference baselines) runs in CI on every build, and the
+// same seed always produces a byte-identical report.
 //
 // The model mirrors the router faithfully where it matters for placement
 // and stays simple everywhere else: each fake shard is a single-server
@@ -46,7 +46,7 @@ type Scenario struct {
 	Warmup time.Duration `json:"warmup_ns,omitempty"`
 	// ProbeInterval is the simulated health-probe period: how often the
 	// router's view of service time and advertised weight refreshes.
-	// 0 selects 250ms, the router default.
+	// 0 selects 250ms, the router default; at most Duration.
 	ProbeInterval time.Duration `json:"probe_interval_ns,omitempty"`
 	// Arrivals is the piecewise-constant arrival schedule: phase i applies
 	// until its Until offset. Arrival spacing within a phase is
@@ -64,8 +64,6 @@ type Phase struct {
 
 // ShardScript scripts one fake shard.
 type ShardScript struct {
-	// Weight is the static placement weight (0 = 1).
-	Weight float64 `json:"weight,omitempty"`
 	// QueueCap bounds outstanding requests (in service + waiting); an
 	// arrival beyond it is refused, mirroring worker admission control.
 	// 0 selects 32.
@@ -108,16 +106,25 @@ func (sc Scenario) RPSAt(t time.Duration) (float64, time.Duration) {
 	return 0, sc.Duration
 }
 
+// maxSpan bounds a scenario's duration and service times, so every sum of
+// offsets the simulator forms stays far from Duration overflow.
+const maxSpan = 365 * 24 * time.Hour
+
 // Validate checks a scenario is runnable.
 func (sc Scenario) Validate() error {
 	if sc.Name == "" {
 		return fmt.Errorf("sim: scenario needs a name")
 	}
-	if sc.Duration <= 0 {
-		return fmt.Errorf("sim: scenario %s: duration must be > 0", sc.Name)
+	if sc.Duration <= 0 || sc.Duration > maxSpan {
+		return fmt.Errorf("sim: scenario %s: duration %v outside (0, %v]", sc.Name, sc.Duration, maxSpan)
 	}
 	if sc.Warmup < 0 || sc.Warmup >= sc.Duration {
 		return fmt.Errorf("sim: scenario %s: warmup %v outside [0, duration)", sc.Name, sc.Warmup)
+	}
+	// A negative interval would re-book probes at or before the current
+	// instant and the run would never end.
+	if sc.ProbeInterval < 0 || sc.ProbeInterval > sc.Duration {
+		return fmt.Errorf("sim: scenario %s: probe interval %v outside [0, duration]", sc.Name, sc.ProbeInterval)
 	}
 	if len(sc.Arrivals) == 0 {
 		return fmt.Errorf("sim: scenario %s: needs at least one arrival phase", sc.Name)
@@ -139,12 +146,12 @@ func (sc Scenario) Validate() error {
 		if len(sh.Curve) == 0 {
 			return fmt.Errorf("sim: scenario %s: shard %d: empty service curve", sc.Name, i)
 		}
-		if sh.Weight < 0 || sh.QueueCap < 0 {
-			return fmt.Errorf("sim: scenario %s: shard %d: negative weight or queue cap", sc.Name, i)
+		if sh.QueueCap < 0 {
+			return fmt.Errorf("sim: scenario %s: shard %d: negative queue cap", sc.Name, i)
 		}
 		for j, seg := range sh.Curve {
-			if seg.Service <= 0 {
-				return fmt.Errorf("sim: scenario %s: shard %d segment %d: service must be > 0", sc.Name, i, j)
+			if seg.Service <= 0 || seg.Service > maxSpan {
+				return fmt.Errorf("sim: scenario %s: shard %d segment %d: service %v outside (0, %v]", sc.Name, i, j, seg.Service, maxSpan)
 			}
 		}
 	}
@@ -153,13 +160,22 @@ func (sc Scenario) Validate() error {
 
 // LoadScenario reads a Scenario from a JSON file.
 func LoadScenario(path string) (Scenario, error) {
-	var sc Scenario
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return sc, err
+		return Scenario{}, err
 	}
+	sc, err := parseScenario(data)
+	if err != nil {
+		return sc, fmt.Errorf("%s: %w", path, err)
+	}
+	return sc, nil
+}
+
+// parseScenario decodes and validates one scenario JSON document.
+func parseScenario(data []byte) (Scenario, error) {
+	var sc Scenario
 	if err := json.Unmarshal(data, &sc); err != nil {
-		return sc, fmt.Errorf("sim: parse %s: %w", path, err)
+		return sc, fmt.Errorf("sim: parse scenario: %w", err)
 	}
 	return sc, sc.Validate()
 }

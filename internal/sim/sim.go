@@ -10,14 +10,13 @@ import (
 	"repro/internal/shard"
 )
 
-// Result is one (scenario, policy) run's report. All latency fields come
-// from a serve.Histogram over completed requests — the same mergeable
-// log-bucketed histogram the serving plane reports — so simulated and
-// production quantiles share bucket semantics. Runs are deterministic:
-// same scenario, same policy → a byte-identical marshaled Result.
+// Result is one scenario run's report. All latency fields come from a
+// serve.Histogram over completed requests — the same mergeable log-bucketed
+// histogram the serving plane reports — so simulated and production
+// quantiles share bucket semantics. Runs are deterministic: same scenario →
+// a byte-identical marshaled Result.
 type Result struct {
 	Scenario string `json:"scenario"`
-	Policy   string `json:"policy"`
 
 	Arrivals  uint64 `json:"arrivals"`  // requests offered to the fleet
 	Completed uint64 `json:"completed"` // served
@@ -29,7 +28,7 @@ type Result struct {
 	P999 time.Duration `json:"p999_ns"`
 	Max  time.Duration `json:"max_ns"`
 
-	// ShardCompleted is the per-shard completion split — how the policy
+	// ShardCompleted is the per-shard completion split — how placement
 	// actually spread the work.
 	ShardCompleted []uint64 `json:"shard_completed"`
 }
@@ -122,28 +121,25 @@ func (s *simShard) observe(svc time.Duration) {
 func (s *simShard) candidate() shard.Candidate {
 	return shard.Candidate{
 		ID:               s.id,
-		StaticWeight:     s.script.Weight,
 		Load:             s.outstanding(),
 		Service:          s.probedService,
 		AdvertisedWeight: s.probedAdvW,
 	}
 }
 
-// Run simulates one scenario under one placement policy and returns its
-// report. The virtual clock is a Duration offset from a fixed epoch; no
-// wall-clock reads happen anywhere, so a (scenario, policy) pair always
-// produces the identical Result.
-func Run(sc Scenario, policy string) (Result, error) {
+// Run simulates one scenario under the router's placement rule
+// (shard.NewPlacer seeded from the scenario) and returns its report. The
+// virtual clock is a Duration offset from a fixed epoch; no wall-clock
+// reads happen anywhere, so a scenario always produces the identical
+// Result.
+func Run(sc Scenario) (Result, error) {
+	return run(sc, shard.NewPlacer(sc.Seed))
+}
+
+// run simulates sc with the given placer; tests substitute reference
+// baselines here.
+func run(sc Scenario, placer shard.Placer) (Result, error) {
 	if err := sc.Validate(); err != nil {
-		return Result{}, err
-	}
-	placer, err := shard.NewPlacer(policy, shard.PlacerOptions{
-		Seed: sc.Seed,
-		// The weighted policy runs with its service-time term on — the
-		// strongest baseline; p2c ignores it, minmax falls back to it.
-		AdaptiveWeights: true,
-	})
-	if err != nil {
 		return Result{}, err
 	}
 	probeEvery := sc.ProbeInterval
@@ -154,9 +150,6 @@ func Run(sc Scenario, policy string) (Result, error) {
 
 	shards := make([]*simShard, len(sc.Shards))
 	for i, script := range sc.Shards {
-		if script.Weight == 0 {
-			script.Weight = 1
-		}
 		capacity := script.QueueCap
 		if capacity == 0 {
 			capacity = 32
@@ -168,11 +161,11 @@ func Run(sc Scenario, policy string) (Result, error) {
 	}
 
 	// Independent seeded streams so arrival spacing, service jitter and
-	// the placer's sampling cannot perturb each other across policies.
+	// the placer's sampling cannot perturb each other.
 	arrivalRng := rand.New(rand.NewSource(sc.Seed + 1))
 	serviceRng := rand.New(rand.NewSource(sc.Seed + 2))
 
-	res := Result{Scenario: sc.Name, Policy: placer.Name()}
+	res := Result{Scenario: sc.Name}
 	lat := serve.NewHistogram()
 
 	var events eventHeap
@@ -193,11 +186,13 @@ func Run(sc Scenario, policy string) (Result, error) {
 				t = phaseEnd
 				continue
 			}
-			gap := time.Duration(arrivalRng.ExpFloat64() / rps * float64(time.Second))
-			next := t + gap
-			if next >= sc.Duration {
+			gap := arrivalRng.ExpFloat64() / rps * float64(time.Second)
+			// Compared as a float first: a gap past the end of the run
+			// (a tiny rate) may not fit a Duration.
+			if gap >= float64(sc.Duration-t) {
 				return
 			}
+			next := t + time.Duration(gap)
 			// A gap crossing into the next phase is re-drawn from the
 			// boundary at the new rate — close enough to an inhomogeneous
 			// Poisson process for scripting purposes, and deterministic.
@@ -318,47 +313,8 @@ func Run(sc Scenario, policy string) (Result, error) {
 	return res, nil
 }
 
-// Comparison is one scenario's head-to-head policy results.
-type Comparison struct {
-	Scenario    string   `json:"scenario"`
-	Description string   `json:"description,omitempty"`
-	Results     []Result `json:"results"`
-}
-
-// Policies is the comparison set every scenario runs under.
-func Policies() []string {
-	return []string{shard.PlacementP2C, shard.PlacementWeightedP2C, shard.PlacementMinMax}
-}
-
-// Matrix runs every scenario under every policy: the CI comparison table.
-func Matrix(scenarios []Scenario, policies []string) ([]Comparison, error) {
-	comps := make([]Comparison, 0, len(scenarios))
-	for _, sc := range scenarios {
-		comp := Comparison{Scenario: sc.Name, Description: sc.Description}
-		for _, pol := range policies {
-			r, err := Run(sc, pol)
-			if err != nil {
-				return nil, err
-			}
-			comp.Results = append(comp.Results, r)
-		}
-		comps = append(comps, comp)
-	}
-	return comps, nil
-}
-
-// Report marshals comparisons deterministically (indented JSON): the
+// Report marshals results deterministically (indented JSON): the
 // byte-identical scenario report the determinism guarantee is stated over.
-func Report(comps []Comparison) ([]byte, error) {
-	return json.MarshalIndent(comps, "", "  ")
-}
-
-// Find returns the named policy's result within a comparison.
-func (c Comparison) Find(policy string) (Result, bool) {
-	for _, r := range c.Results {
-		if r.Policy == policy {
-			return r, true
-		}
-	}
-	return Result{}, false
+func Report(results []Result) ([]byte, error) {
+	return json.MarshalIndent(results, "", "  ")
 }

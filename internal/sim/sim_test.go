@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"testing"
 	"time"
-
-	"repro/internal/shard"
 )
 
 // TestScenarioValidate pins the scripting error paths.
@@ -31,6 +29,13 @@ func TestScenarioValidate(t *testing.T) {
 		"until regression": func(s *Scenario) { s.Arrivals = append(s.Arrivals, Phase{Until: time.Millisecond}) },
 		"empty curve":      func(s *Scenario) { s.Shards[0].Curve = nil },
 		"zero service":     func(s *Scenario) { s.Shards[0].Curve[0].Service = 0 },
+		"service too long": func(s *Scenario) { s.Shards[0].Curve[0].Service = maxSpan + 1 },
+		"duration too long": func(s *Scenario) {
+			s.Duration = maxSpan + 1
+			s.Arrivals[0].Until = s.Duration
+		},
+		"negative probe":      func(s *Scenario) { s.ProbeInterval = -1 },
+		"probe past duration": func(s *Scenario) { s.ProbeInterval = s.Duration + 1 },
 	} {
 		sc := base()
 		breakIt(&sc)
@@ -88,121 +93,119 @@ func TestScenarioJSONRoundTrip(t *testing.T) {
 }
 
 // TestDeterministic is the core guarantee: the same seed produces a
-// byte-identical scenario report, twice, for every (scenario, policy).
+// byte-identical scenario report, twice, for every builtin.
 func TestDeterministic(t *testing.T) {
-	scenarios := Builtins()
-	a, err := Matrix(scenarios, Policies())
-	if err != nil {
-		t.Fatal(err)
+	report := func() []byte {
+		t.Helper()
+		var results []Result
+		for _, sc := range Builtins() {
+			r, err := Run(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			results = append(results, r)
+		}
+		data, err := Report(results)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
 	}
-	b, err := Matrix(scenarios, Policies())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra, err := Report(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := Report(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ra, rb) {
+	if !bytes.Equal(report(), report()) {
 		t.Fatal("same seeds produced different reports")
 	}
 }
 
-// TestConservation: every arrival resolves to exactly one of completed or
+// checkConservation: every arrival resolves to exactly one of completed or
 // shed, and per-shard completions sum to the total.
-func TestConservation(t *testing.T) {
-	for _, sc := range Builtins() {
-		for _, pol := range Policies() {
-			r, err := Run(sc, pol)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", sc.Name, pol, err)
-			}
-			if r.Arrivals == 0 || r.Completed == 0 {
-				t.Errorf("%s/%s: empty run (arrivals=%d completed=%d)", sc.Name, pol, r.Arrivals, r.Completed)
-			}
-			if r.Completed+r.Shed != r.Arrivals {
-				t.Errorf("%s/%s: completed %d + shed %d != arrivals %d", sc.Name, pol, r.Completed, r.Shed, r.Arrivals)
-			}
-			var sum uint64
-			for _, c := range r.ShardCompleted {
-				sum += c
-			}
-			if sum != r.Completed {
-				t.Errorf("%s/%s: shard completions sum %d != completed %d", sc.Name, pol, sum, r.Completed)
-			}
-		}
+func checkConservation(t *testing.T, r Result) {
+	t.Helper()
+	if r.Completed+r.Shed != r.Arrivals {
+		t.Errorf("%s: completed %d + shed %d != arrivals %d", r.Scenario, r.Completed, r.Shed, r.Arrivals)
+	}
+	var sum uint64
+	for _, c := range r.ShardCompleted {
+		sum += c
+	}
+	if sum != r.Completed {
+		t.Errorf("%s: shard completions sum %d != completed %d", r.Scenario, sum, r.Completed)
 	}
 }
 
-// TestMatrix prints the full comparison table (go test -v) and enforces
-// the CI tail-latency gates:
-//
-//   - minmax p99 ≤ weighted-p2c p99 on the heterogeneous and adversarial
-//     scenarios (the regression gate from the roadmap);
-//   - capacity-aware policies beat blind p2c on the extreme heterogeneous
-//     fleet, the sanity check that the simulator can tell policies apart.
-func TestMatrix(t *testing.T) {
-	comps, err := Matrix(Builtins(), Policies())
-	if err != nil {
-		t.Fatal(err)
+// TestConservation checks conservation on every builtin, none of which may
+// be an empty run.
+func TestConservation(t *testing.T) {
+	for _, sc := range Builtins() {
+		r, err := Run(sc)
+		if err != nil {
+			t.Fatalf("%s: %v", sc.Name, err)
+		}
+		if r.Arrivals == 0 || r.Completed == 0 {
+			t.Errorf("%s: empty run (arrivals=%d completed=%d)", sc.Name, r.Arrivals, r.Completed)
+		}
+		checkConservation(t, r)
 	}
-	for _, c := range comps {
-		for _, r := range c.Results {
-			t.Logf("%-22s %-13s p50=%-8v p99=%-9v p999=%-9v shed=%-5d completed=%d",
-				c.Scenario, r.Policy, r.P50.Round(time.Microsecond), r.P99.Round(time.Microsecond),
-				r.P999.Round(time.Microsecond), r.Shed, r.Completed)
-		}
-	}
-	gate := func(scenario string) {
-		t.Helper()
-		var comp *Comparison
-		for i := range comps {
-			if comps[i].Scenario == scenario {
-				comp = &comps[i]
-			}
-		}
-		if comp == nil {
-			t.Fatalf("scenario %s missing from the matrix", scenario)
-		}
-		mm, ok1 := comp.Find(shard.PlacementMinMax)
-		wp, ok2 := comp.Find(shard.PlacementWeightedP2C)
-		if !ok1 || !ok2 {
-			t.Fatalf("%s: policies missing from comparison", scenario)
-		}
-		if mm.P99 > wp.P99 {
-			t.Errorf("%s: minmax p99 %v > weighted-p2c p99 %v", scenario, mm.P99, wp.P99)
-		}
-		if mm.Shed > wp.Shed {
-			t.Errorf("%s: minmax shed %d > weighted-p2c shed %d", scenario, mm.Shed, wp.Shed)
-		}
-	}
-	gate("heterogeneous")
-	gate("heterogeneous-extreme")
-	gate("adversarial-flap")
-	gate("step-degradation")
+}
 
-	// Sanity: on the heterogeneous fleet, blind p2c must lose to both
-	// capacity-aware policies — otherwise the simulator cannot
-	// distinguish policies and the gates above are vacuous. (The extreme
-	// fleet is the wrong place for this check: there the tail is set by
-	// forced {slow,slow} sample pairs that pin the slow queues at cap
-	// under every policy, so p99s converge.)
-	for i := range comps {
-		if comps[i].Scenario != "heterogeneous" {
-			continue
+// fuzzWorkLimit bounds the expected arrivals and probe rounds of a fuzzed
+// scenario that FuzzScenario runs: a valid scenario may script any amount
+// of work, and the fuzzer should spend its time on shapes, not sizes.
+const fuzzWorkLimit = 20000
+
+// FuzzScenario feeds arbitrary bytes through the scenario parser; every
+// scenario Validate accepts must run to completion (small ones are run) and
+// conserve requests.
+func FuzzScenario(f *testing.F) {
+	for _, sc := range Builtins() {
+		data, err := json.Marshal(sc)
+		if err != nil {
+			f.Fatal(err)
 		}
-		p2c, _ := comps[i].Find(shard.PlacementP2C)
-		mm, _ := comps[i].Find(shard.PlacementMinMax)
-		wp, _ := comps[i].Find(shard.PlacementWeightedP2C)
-		if p2c.P99 <= wp.P99 || p2c.P99 <= mm.P99 {
-			t.Errorf("heterogeneous: p2c p99 %v should exceed weighted %v and minmax %v",
-				p2c.P99, wp.P99, mm.P99)
+		f.Add(data)
+	}
+	f.Add([]byte(`{"name":"negative-probe","seed":1,"duration_ns":1000000000,"probe_interval_ns":-1,` +
+		`"arrivals":[{"until_ns":1000000000,"rps":100}],` +
+		`"shards":[{"curve":[{"service_ns":2000000}]},{"curve":[{"service_ns":2000000}]}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sc, err := parseScenario(data)
+		if err != nil {
+			return
+		}
+		if expectedArrivals(sc) > fuzzWorkLimit || probeRounds(sc) > fuzzWorkLimit {
+			return
+		}
+		r, err := Run(sc)
+		if err != nil {
+			t.Fatalf("validated scenario failed to run: %v", err)
+		}
+		checkConservation(t, r)
+	})
+}
+
+// expectedArrivals is the mean arrival count of sc's schedule.
+func expectedArrivals(sc Scenario) float64 {
+	var n float64
+	from := time.Duration(0)
+	for _, p := range sc.Arrivals {
+		until := p.Until
+		if until > sc.Duration {
+			until = sc.Duration
+		}
+		if until > from {
+			n += p.RPS * (until - from).Seconds()
+			from = until
 		}
 	}
+	return n
+}
+
+// probeRounds is how many simulated probe rounds sc's run books.
+func probeRounds(sc Scenario) float64 {
+	every := sc.ProbeInterval
+	if every == 0 {
+		every = 250 * time.Millisecond
+	}
+	return float64(sc.Duration) / float64(every)
 }
 
 // ExampleReport keeps the report shape stable for doc readers.
@@ -215,11 +218,11 @@ func ExampleReport() {
 			{Curve: []Segment{{Service: 2 * time.Millisecond}}},
 		},
 	}
-	r, err := Run(sc, shard.PlacementMinMax)
+	r, err := Run(sc)
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	fmt.Println(r.Scenario, r.Policy, r.Arrivals == r.Completed+r.Shed)
-	// Output: tiny minmax true
+	fmt.Println(r.Scenario, r.Arrivals == r.Completed+r.Shed)
+	// Output: tiny true
 }
